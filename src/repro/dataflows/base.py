@@ -189,11 +189,12 @@ class Dataflow(abc.ABC):
 
         The vectorized search path (:mod:`repro.kernels`): same rows,
         same order, same feasibility filters as
-        :meth:`enumerate_mappings`, as NumPy columns the scoring kernel
-        can reduce in a handful of array ops.  Grouped layers reuse the
-        same driver decomposition as the scalar path -- one dense block
-        per ``g_p``, spliced in loop order -- so scalar/vector parity
-        is preserved by construction.  Returns None (scalar fallback)
+        :meth:`enumerate_mappings`, as a fold x scenario grid of NumPy
+        columns the scoring kernel can reduce in a handful of array
+        ops.  Grouped layers reuse the same driver decomposition as the
+        scalar path -- one dense block per ``g_p``, concatenated along
+        the fold axis in loop order -- so scalar/vector parity is
+        preserved by construction.  Returns None (scalar fallback)
         when the dataflow does not implement
         :meth:`dense_candidate_arrays`.
         """
@@ -222,12 +223,12 @@ class Dataflow(abc.ABC):
 
     def rebuild_mapping(self, layer: LayerShape, hw: HardwareConfig,
                         params) -> Mapping:
-        """Materialize the :class:`Mapping` of one candidate-array row.
+        """Materialize the :class:`Mapping` of one candidate-array slot.
 
-        ``params`` is the row's tiling-parameter dict
+        ``params`` is the slot's tiling-parameter dict
         (:meth:`~repro.kernels.CandidateArrays.row_params`).  Returns an
         object field-for-field identical to what
-        :meth:`enumerate_mappings` would have yielded for that row.  For
+        :meth:`enumerate_mappings` would have yielded for that slot.  For
         grouped layers the ``g_p`` column picks the hardware partition
         and the dense rebuild is lifted through :func:`regroup_mapping`,
         exactly like the scalar driver.  Only called for dataflows whose
@@ -243,7 +244,7 @@ class Dataflow(abc.ABC):
 
     def rebuild_dense(self, layer: LayerShape, hw: HardwareConfig,
                       params) -> Mapping:
-        """Materialize one *dense* candidate row as a :class:`Mapping`.
+        """Materialize one *dense* candidate slot as a :class:`Mapping`.
 
         The built-in dataflows guarantee field-for-field identity with
         :meth:`enumerate_dense` by routing through their scalar

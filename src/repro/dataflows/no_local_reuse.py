@@ -54,7 +54,8 @@ class NoLocalReuse(Dataflow):
         Mirrors :meth:`enumerate_dense`: ``(m_g, c_g)`` pairs in the
         same thinned-divisor order, the buffer-staging budget applied as
         a batch mask, and the broadcast-degeneration rescale of
-        :meth:`_build_mapping` as a vectorized select.
+        :meth:`_build_mapping` as a vectorized select.  NLR has a
+        single residency scenario: K = 1.
         """
         n, m, c = layer.N, layer.M, layer.C
         r, e, h = layer.R, layer.E, layer.H
@@ -89,13 +90,14 @@ class NoLocalReuse(Dataflow):
             filter=(ones, np.full(count, float(n * e * e)), ones, ones),
             psum=(ones, layer.psum_accumulations / cg,
                   cg.astype(np.float64), ones),
-            active_pes=mg * cg,
+            pes=mg * cg,
+            mask=np.ones((1, count), dtype=bool),
             params={"m_g": mg, "c_g": cg},
         )
 
     def rebuild_dense(self, layer: LayerShape, hw: HardwareConfig,
                       params: Dict[str, int]) -> Mapping:
-        """Materialize one candidate row through the scalar builder."""
+        """Materialize one candidate slot through the scalar builder."""
         mapping = self._build_mapping(layer, hw, params["m_g"],
                                       params["c_g"])
         if mapping is None:

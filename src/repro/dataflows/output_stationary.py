@@ -39,11 +39,7 @@ import numpy as np
 
 from repro.arch.hardware import HardwareConfig
 from repro.dataflows.base import BufferBudget, Dataflow, thin_candidates
-from repro.kernels import (
-    CandidateArrays,
-    ScenarioExpansion,
-    empty_candidates,
-)
+from repro.kernels import CandidateArrays, empty_candidates
 from repro.mapping.divisors import divisors_up_to
 from repro.mapping.mapping import Mapping
 from repro.mapping.reuse import AccumSplit, ReuseSplit
@@ -52,7 +48,7 @@ from repro.nn.layer import LayerShape
 _EPS = 1e-9
 
 #: Buffer-residency scenarios in yield order (the vectorized path
-#: encodes a row's scenario as an index into this tuple).
+#: encodes a slot's scenario as an index into this tuple).
 _SCENARIOS = ("filters-all-resident", "filter-chunk-resident",
               "filters-stream")
 
@@ -162,11 +158,11 @@ class _OutputStationaryBase(Dataflow):
         """The dense OS candidate space as structure-of-arrays columns.
 
         Mirrors :meth:`enumerate_dense`: the variant's
-        :meth:`_configurations` generator drives the row order (it is
+        :meth:`_configurations` generator drives the fold order (it is
         cheap -- at most a few dozen configs), and the three
-        buffer-residency scenarios of every config are scored as
-        interleaved column triples with the same feasibility predicates
-        as :meth:`_config_candidates`.
+        buffer-residency scenarios are the rows of the config x
+        scenario grid, masked by the same feasibility predicates as
+        :meth:`_config_candidates`.
         """
         cfgs = list(self._configurations(layer, hw))
         if not cfgs:
@@ -207,29 +203,22 @@ class _OutputStationaryBase(Dataflow):
              overlap, if_residual, rounds, w_residual / rounds),
         )
 
-        rows = ScenarioExpansion([s[0] for s in scenarios])
-        if not rows:
-            return empty_candidates()
-        if_a = rows.select([s[1] for s in scenarios])
-        if_b = rows.select([s[2] for s in scenarios])
-        w_a = rows.select([s[3] for s in scenarios])
-        w_b = rows.select([s[4] for s in scenarios])
+        mask, if_a, if_b, w_a, w_b = (np.array(cols)
+                                      for cols in zip(*scenarios))
 
         accum = np.full(count, float(layer.psum_accumulations))
-        params = {key: rows.repeat(col) for key, col in pcols.items()}
-        params["scenario"] = rows.scenario_index()
         return CandidateArrays(
-            ifmap=(if_a, if_b, rows.repeat(if_c), rows.repeat(ones)),
-            filter=(w_a, w_b, rows.repeat(w_c), rows.repeat(ones)),
-            psum=(rows.repeat(ones), rows.repeat(ones), rows.repeat(ones),
-                  rows.repeat(accum)),
-            active_pes=rows.repeat(active),
-            params=params,
+            ifmap=(if_a, if_b, if_c, ones),
+            filter=(w_a, w_b, w_c, ones),
+            psum=(ones, ones, ones, accum),
+            pes=active,
+            mask=mask,
+            params=pcols,
         )
 
     def rebuild_dense(self, layer: LayerShape, hw: HardwareConfig,
                       params: Dict[str, int]) -> Mapping:
-        """Materialize one candidate row through the scalar builder."""
+        """Materialize one candidate slot through the scalar builder."""
         label = _SCENARIOS[params["scenario"]]
         wanted = {key: value for key, value in params.items()
                   if key != "scenario"}

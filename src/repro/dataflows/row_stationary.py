@@ -42,11 +42,7 @@ import numpy as np
 
 from repro.arch.hardware import HardwareConfig
 from repro.dataflows.base import BufferBudget, Dataflow, thin_candidates
-from repro.kernels import (
-    CandidateArrays,
-    ScenarioExpansion,
-    empty_candidates,
-)
+from repro.kernels import CandidateArrays, empty_candidates
 from repro.mapping.divisors import divisors, divisors_up_to, largest_divisor_up_to
 from repro.mapping.mapping import Mapping
 from repro.mapping.reuse import AccumSplit, ReuseSplit
@@ -56,8 +52,8 @@ from repro.nn.layer import LayerShape
 _EPS = 1e-9
 
 #: Second-phase-folding scenarios, in the order ``_build_mappings``
-#: yields them (the vectorized path encodes a row's scenario as an index
-#: into this tuple).
+#: yields them (the vectorized path encodes a slot's scenario as an
+#: index into this tuple).
 _SCENARIOS = ("both-resident", "ifmap-streams", "filter-streams",
               "both-stream")
 
@@ -155,10 +151,10 @@ class RowStationary(Dataflow):
         :func:`_rf_fold_arrays` blocks, and every formula of
         :meth:`_build_mappings` -- reuse splits, active PEs, the four
         buffer-residency budgets -- is evaluated once over the whole
-        fold batch in NumPy.  Rows are ordered fold-major with the
-        scenario innermost, exactly the scalar yield order, and
-        infeasible rows (RF overflow, PE overflow, vanished residual
-        reuse, budget misses) are dropped by the same predicates.
+        fold batch in NumPy.  The four scenarios are the rows of the
+        fold x scenario grid, and infeasible slots (RF overflow, PE
+        overflow, vanished residual reuse, budget misses) are masked by
+        the same predicates.
         """
         array_h, array_w, r_eff, v_fold = self._geometry(layer, hw)
 
@@ -228,8 +224,7 @@ class RowStationary(Dataflow):
         filter_all = m * c * r * r
         cap = hw.buffer_words
 
-        count = active.shape[0]
-        ones = np.ones(count, dtype=np.float64)
+        ones = np.ones(active.shape[0], dtype=np.float64)
         # Scenario columns in _build_mappings order: (mask, if_a, if_b,
         # filt_a, filt_b) -- the (c, d) factors and the psum split are
         # shared by all four scenarios of a fold.
@@ -243,33 +238,24 @@ class RowStationary(Dataflow):
             (fold_ok & (ifmap_pass + filter_pass + psum_tile <= cap),
              if_chunk, if_rest, filt_pass, ones),
         )
-
-        rows = ScenarioExpansion([s[0] for s in scenarios])
-        if_a = rows.select([s[1] for s in scenarios])
-        if_b = rows.select([s[2] for s in scenarios])
-        w_a = rows.select([s[3] for s in scenarios])
-        w_b = rows.select([s[4] for s in scenarios])
+        mask, if_a, if_b, w_a, w_b = (np.array(cols)
+                                      for cols in zip(*scenarios))
 
         return CandidateArrays(
-            ifmap=(if_a, if_b, rows.repeat(if_c), rows.repeat(if_d)),
-            filter=(w_a, w_b, rows.repeat(filt_c), rows.repeat(filt_d)),
-            psum=(rows.repeat(ones), rows.repeat(ps_b), rows.repeat(ps_c),
-                  rows.repeat(ps_d)),
-            active_pes=rows.repeat(active),
-            params={
-                "e": rows.repeat(e_col), "n_s": rows.repeat(ns),
-                "m_s": rows.repeat(ms), "c_s": rows.repeat(cs),
-                "n_r": rows.repeat(nr), "m_r": rows.repeat(mr),
-                "c_r": rows.repeat(cr),
-                "scenario": rows.scenario_index(),
-            },
+            ifmap=(if_a, if_b, if_c, if_d),
+            filter=(w_a, w_b, filt_c, filt_d),
+            psum=(ones, ps_b, ps_c, ps_d),
+            pes=active,
+            mask=mask,
+            params={"e": e_col, "n_s": ns, "m_s": ms, "c_s": cs,
+                    "n_r": nr, "m_r": mr, "c_r": cr},
         )
 
     def rebuild_dense(self, layer: LayerShape, hw: HardwareConfig,
                       params: Dict[str, int]) -> Mapping:
-        """Materialize one candidate row through the scalar builder.
+        """Materialize one candidate slot through the scalar builder.
 
-        ``params`` is a :meth:`CandidateArrays.row_params` row; routing
+        ``params`` is a :meth:`CandidateArrays.row_params` slot; routing
         it back through :meth:`_build_mappings` guarantees the returned
         :class:`Mapping` is field-for-field the object the scalar search
         would have produced.

@@ -78,7 +78,8 @@ class WeightStationary(Dataflow):
         collected in the same thinned-divisor order and every formula of
         :meth:`_build_mapping` -- the live-psum budget, the broadcast
         rescales, the splits -- is evaluated over the whole batch at
-        once, with infeasible rows dropped by the same predicate.
+        once, with infeasible pairs dropped by the same predicate.  WS
+        has a single residency scenario: K = 1.
         """
         r2 = layer.R ** 2
         blocks = hw.num_pes // r2
@@ -121,13 +122,14 @@ class WeightStationary(Dataflow):
             filter=(ones, ones, ones,
                     np.full(count, float(n * e * e))),
             psum=(ones, c / cf, (r2 * cf).astype(np.float64), ones),
-            active_pes=mf * cf * r2,
+            pes=mf * cf * r2,
+            mask=np.ones((1, count), dtype=bool),
             params={"m_f": mf, "c_f": cf},
         )
 
     def rebuild_dense(self, layer: LayerShape, hw: HardwareConfig,
                       params: Dict[str, int]) -> Mapping:
-        """Materialize one candidate row through the scalar builder."""
+        """Materialize one candidate slot through the scalar builder."""
         mapping = self._build_mapping(layer, hw, params["m_f"],
                                       params["c_f"])
         if mapping is None:

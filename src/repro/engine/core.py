@@ -67,7 +67,7 @@ from concurrent.futures import (
     ThreadPoolExecutor,
     as_completed,
 )
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from typing import (
     Dict,
     Iterable,
@@ -237,6 +237,69 @@ def _evaluate_layer_task(dataflow: Dataflow, layer: LayerShape,
                          objective: str) -> Optional[LayerEvaluation]:
     """Top-level worker body (must be picklable for process pools)."""
     return evaluate_layer(dataflow, layer, hw, None, objective)
+
+
+# ----------------------------------------------------------------------
+# One search per distinct shape, per call.
+#
+# The mapping search reads every LayerShape field except ``name``, so
+# two named layers of one shape -- VGG16's conv3_2 and conv3_3, the
+# repeated blocks of ResNet-18 and MobileNet -- ask for the same search.
+# Within one engine call (one cell on the lazy serial stream) misses
+# that share a search problem are searched once, and every named layer
+# still gets its own evaluation, cache entry and store row.  The
+# grouping lives only as long as the call: a process-wide memo would
+# answer a fresh session's misses from a search it never ran.
+# ----------------------------------------------------------------------
+
+
+#: Every LayerShape field the search reads: all of them but ``name``.
+_SHAPE_FIELDS = tuple(f.name for f in fields(LayerShape) if f.name != "name")
+
+
+def _search_problem(key: CacheKey) -> tuple:
+    """The search a cache key asks for: the key without its layer name."""
+    shape = tuple(getattr(key.layer, name) for name in _SHAPE_FIELDS)
+    return key.dataflow, shape, key.hardware, key.objective
+
+
+def _for_layer(evaluation: Optional[LayerEvaluation],
+               layer: LayerShape) -> Optional[LayerEvaluation]:
+    """A same-shape twin's evaluation, re-labelled for ``layer``."""
+    if evaluation is None or evaluation.layer is layer:
+        return evaluation
+    return replace(evaluation, layer=layer)
+
+
+def _search_once(key: CacheKey, job: LayerJob,
+                 searched: Dict[tuple, Optional[LayerEvaluation]]
+                 ) -> Optional[LayerEvaluation]:
+    """Evaluate ``job``, reusing a search already in ``searched``."""
+    problem = _search_problem(key)
+    if problem not in searched:
+        searched[problem] = _evaluate_layer_task(
+            job.dataflow, job.layer, job.hardware, job.objective)
+    return _for_layer(searched[problem], job.layer)
+
+
+#: Misses grouped by search problem, keyed by each group's first key
+#: (its *lead*): one search per lead answers every twin in its group.
+_Twins = Dict[CacheKey, List[Tuple[CacheKey, LayerJob]]]
+
+
+def _twins_by_lead(items: List[Tuple[CacheKey, LayerJob]]) -> _Twins:
+    """Group pending ``(key, job)`` misses by search problem."""
+    groups: Dict[tuple, List[Tuple[CacheKey, LayerJob]]] = {}
+    for key, job in items:
+        groups.setdefault(_search_problem(key), []).append((key, job))
+    return {twins[0][0]: twins for twins in groups.values()}
+
+
+def _fan_out(twins: _Twins, lead: CacheKey,
+             value: Optional[LayerEvaluation]
+             ) -> List[Tuple[CacheKey, Optional[LayerEvaluation]]]:
+    """The lead's evaluation, handed to every twin of its group."""
+    return [(key, _for_layer(value, job.layer)) for key, job in twins[lead]]
 
 
 # ----------------------------------------------------------------------
@@ -526,26 +589,27 @@ class EvaluationEngine:
             )
 
         if not self._use_parallel(parallel, len(pending)):
+            searched: Dict[tuple, Optional[LayerEvaluation]] = {}
             for index in range(len(jobs)):
                 for key in cell_keys[index]:
                     if key not in results:
-                        job = pending[key]
-                        value = _evaluate_layer_task(
-                            job.dataflow, job.layer, job.hardware,
-                            job.objective)
+                        value = _search_once(key, pending[key], searched)
                         self.cache.put(key, value)
                         results[key] = value
                 yield finish(index)
             return
+
+        twins = _twins_by_lead(list(pending.items()))
 
         def cache_chunk(chunk, entries) -> None:
             # Cache from the dispatcher's completion callback, not the
             # consumption loop: if the caller abandons the stream early
             # (the documented use), already-computed results are still
             # kept -- including a failed row's siblings.
-            for (key, _job), (ok, payload) in zip(chunk, entries):
+            for (lead, _job), (ok, payload) in zip(chunk, entries):
                 if ok:
-                    self.cache.put(key, payload)
+                    for key, value in _fan_out(twins, lead, payload):
+                        self.cache.put(key, value)
 
         key_cells: Dict[CacheKey, List[int]] = {}
         remaining: List[int] = []
@@ -557,18 +621,20 @@ class EvaluationEngine:
             if not missing:  # answered entirely from the cache
                 yield finish(index)
         dispatch = self._dispatch_resilient(
-            self._chunked(list(pending.items())), on_result=cache_chunk)
+            self._chunked([group[0] for group in twins.values()]),
+            on_result=cache_chunk)
         for chunk, entries in dispatch:
             error: Optional[Exception] = None
-            for (key, _job), (ok, payload) in zip(chunk, entries):
+            for (lead, _job), (ok, payload) in zip(chunk, entries):
                 if not ok:
                     error = error or payload
                     continue
-                results[key] = payload
-                for index in key_cells.get(key, ()):
-                    remaining[index] -= 1
-                    if remaining[index] == 0:
-                        yield finish(index)
+                for key, value in _fan_out(twins, lead, payload):
+                    results[key] = value
+                    for index in key_cells.get(key, ()):
+                        remaining[index] -= 1
+                        if remaining[index] == 0:
+                            yield finish(index)
             if error is not None:
                 raise error
 
@@ -581,17 +647,17 @@ class EvaluationEngine:
         costs O(1) memory here -- and answers every repeated
         sub-problem through the cache tiers: a layer computed for an
         earlier cell (or any earlier driver of this engine) is a cache
-        hit, not a re-run.
+        hit, not a re-run.  Same-shape layers share one search within a
+        cell, never across cells.
         """
         for index, cell in enumerate(jobs):
             evaluations = []
+            searched: Dict[tuple, Optional[LayerEvaluation]] = {}
             for layer_job in cell.layer_jobs:
                 key = layer_job.key
                 value = self.cache.get(key)
                 if value is MISSING:
-                    value = _evaluate_layer_task(
-                        layer_job.dataflow, layer_job.layer,
-                        layer_job.hardware, layer_job.objective)
+                    value = _search_once(key, layer_job, searched)
                     self.cache.put(key, value)
                 evaluations.append(value)
             yield index, NetworkEvaluation(
@@ -608,8 +674,9 @@ class EvaluationEngine:
 
         Returns one result per job, in job order.  Only jobs whose key
         is neither cached nor duplicated earlier in the batch are
-        dispatched; when the parallel path is enabled they run on the
-        engine's pool, otherwise inline.
+        computed, and misses that differ only in the layer name share
+        one search; when the parallel path is enabled the searches run
+        on the engine's pool, otherwise inline.
         """
         jobs = list(jobs)
         results: Dict[CacheKey, Optional[LayerEvaluation]] = {}
@@ -766,17 +833,19 @@ class EvaluationEngine:
     def _run(self, items: List[Tuple[CacheKey, LayerJob]],
              parallel: Optional[bool]
              ) -> List[Tuple[CacheKey, Optional[LayerEvaluation]]]:
+        """A ``(key, evaluation)`` pair per item; one search per problem."""
         if not self._use_parallel(parallel, len(items)):
-            return [(key,
-                     _evaluate_layer_task(job.dataflow, job.layer,
-                                          job.hardware, job.objective))
+            searched: Dict[tuple, Optional[LayerEvaluation]] = {}
+            return [(key, _search_once(key, job, searched))
                     for key, job in items]
+        twins = _twins_by_lead(items)
+        leads = [group[0] for group in twins.values()]
         results: List[Tuple[CacheKey, Optional[LayerEvaluation]]] = []
         error: Optional[Exception] = None
-        for chunk, entries in self._dispatch_resilient(self._chunked(items)):
-            for (key, _job), (ok, payload) in zip(chunk, entries):
+        for chunk, entries in self._dispatch_resilient(self._chunked(leads)):
+            for (lead, _job), (ok, payload) in zip(chunk, entries):
                 if ok:
-                    results.append((key, payload))
+                    results.extend(_fan_out(twins, lead, payload))
                 elif error is None:
                     error = payload
         if error is not None:

@@ -9,15 +9,17 @@ dataclass allocations per (dataflow, layer) cell.  This module is the
 batch alternative:
 
 * Each dataflow emits its full candidate space as a
-  :class:`CandidateArrays` block -- *structure of arrays*, one float64
-  column per reuse-split factor, one int64 column per tiling parameter
-  -- in exactly the order (and with exactly the feasibility filters) of
-  its scalar ``enumerate_mappings`` generator.
-* :func:`score_candidates` computes the objective of the *whole batch*
+  :class:`CandidateArrays` block -- *structure of arrays* over a
+  fold x scenario grid: one column per fold for everything a
+  buffer-residency scenario does not change, one ``(K, F)`` grid for
+  the split factors it does, and a mask of the feasible slots -- in
+  exactly the order (and with exactly the feasibility filters) of its
+  scalar ``enumerate_mappings`` generator.
+* :func:`score_candidates` computes the objective of the *whole grid*
   in a handful of NumPy ops, reusing the vectorized Eq. (3)/(4) math of
   :mod:`repro.mapping.reuse`.
-* :func:`select_best` reduces the score column to the winning row under
-  the same min/tie-break rule as
+* :func:`select_best` reduces the score column to the winning slot
+  under the same min/tie-break rule as
   :class:`~repro.engine.reducer.StreamingBest`.
 
 Only the argmin winner is ever materialized as a ``Mapping`` (via the
@@ -84,26 +86,39 @@ def kernel_mode() -> str:
 
 @dataclass
 class CandidateArrays:
-    """One dataflow's candidate space as structure-of-arrays columns.
+    """One dataflow's candidate space as a fold x scenario grid.
 
-    All rows are *feasible* candidates, in exactly the order the scalar
-    ``enumerate_mappings`` generator would have yielded them (the
-    tie-break rule is order-sensitive: among equal tie keys the first
-    arrival wins).
+    A *fold* is one tiling choice of the dataflow's scalar
+    ``enumerate_mappings`` loops; each fold branches into the same K
+    buffer-residency scenarios (K = 1 for WS and NLR).  Slot ``s`` is
+    fold ``s // K``, scenario ``s % K``: the fold-major, scenario-minor
+    order of the scalar generator, whose tie-break keeps the first
+    arrival.  A slot is a candidate only where :attr:`mask` is set.
+
+    The grid is stored scenario by scenario -- a ``(K, F)`` array has
+    one row per scenario -- so every per-fold ``(F,)`` column
+    broadcasts across the scenarios as it is.  Broadcasting repeats
+    the value, not the arithmetic: each slot's score comes from the
+    same expression tree as the scalar candidate's float.
 
     Attributes
     ----------
-    ifmap, filter, psum:
-        ``(a, b, c, d)`` reuse-split columns per data type, float64,
-        one entry per candidate.  Together with the layer's unique-value
-        counts these are everything Eqs. (3)/(4) need.
-    active_pes:
-        Active-PE column (int64); the optimizer's tie-break key and the
-        EDP delay denominator.
+    ifmap, filter:
+        ``(a, b, c, d)`` reuse-split columns, float64.  ``a`` and ``b``
+        depend on the scenario and are ``(K, F)`` grids (a plain
+        ``(F,)`` column when K = 1); ``c`` and ``d`` are per fold.
+    psum:
+        ``(a, b, c, d)`` accumulation split, per-fold columns.
+        Together with the layer's unique-value counts these are
+        everything Eqs. (3)/(4) need.
+    pes:
+        Active PEs per fold (int64): the EDP delay denominator.
+    mask:
+        ``(K, F)`` bool grid of the feasible slots.
     params:
-        Per-candidate tiling parameters (int64 columns keyed by name,
-        e.g. ``e, n_s, ..., scenario``), enough for the owning dataflow's
-        ``rebuild_mapping`` to re-materialize any row as a full
+        Per-fold tiling parameters (int64 columns keyed by name, e.g.
+        ``e, n_s, ...``), enough for the owning dataflow's
+        ``rebuild_mapping`` to re-materialize any slot as a full
         :class:`~repro.mapping.mapping.Mapping` through its scalar
         builder.
     """
@@ -111,35 +126,46 @@ class CandidateArrays:
     ifmap: Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
     filter: Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
     psum: Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
-    active_pes: np.ndarray
+    pes: np.ndarray
+    mask: np.ndarray
     params: Dict[str, np.ndarray] = field(default_factory=dict)
 
     def __len__(self) -> int:
-        return int(self.active_pes.shape[0])
+        """The number of candidates: feasible slots."""
+        return int(np.count_nonzero(self.mask))
 
-    def row_params(self, index: int) -> Dict[str, int]:
-        """The tiling parameters of one candidate row, as Python ints."""
-        return {name: int(col[index]) for name, col in self.params.items()}
+    @property
+    def active_pes(self) -> np.ndarray:
+        """Active PEs per slot: :func:`select_best`'s tie-break key."""
+        return np.repeat(self.pes, self.mask.shape[0])
+
+    def row_params(self, slot: int) -> Dict[str, int]:
+        """The tiling parameters and scenario index of one slot."""
+        fold, scenario = divmod(slot, self.mask.shape[0])
+        params = {name: int(col[fold]) for name, col in self.params.items()}
+        params["scenario"] = scenario
+        return params
 
 
 def empty_candidates() -> CandidateArrays:
-    """A zero-row block: the dataflow cannot run the layer at all."""
+    """A zero-fold block: the dataflow cannot run the layer at all."""
     z = np.zeros(0, dtype=np.float64)
-    zi = np.zeros(0, dtype=np.int64)
     return CandidateArrays(ifmap=(z, z, z, z), filter=(z, z, z, z),
-                           psum=(z, z, z, z), active_pes=zi)
+                           psum=(z, z, z, z),
+                           pes=np.zeros(0, dtype=np.int64),
+                           mask=np.zeros((1, 0), dtype=bool))
 
 
 def concat_candidates(blocks) -> CandidateArrays:
-    """Row-concatenate :class:`CandidateArrays` blocks, preserving order.
+    """Concatenate :class:`CandidateArrays` blocks along the fold axis.
 
     The grouped-convolution driver enumerates one dense block per
     group-parallelism factor and splices them into a single candidate
-    space; rows keep block order, matching the scalar generator's loop
-    nesting (the tie-break is order-sensitive).  Zero-row blocks are
-    dropped; with no surviving rows the empty block is returned.  All
-    non-empty blocks must share the same ``params`` keys (they come from
-    the same dataflow).
+    space; folds keep block order, matching the scalar generator's loop
+    nesting (the tie-break is order-sensitive).  Blocks without a
+    candidate are dropped; with none left the empty block is returned.
+    All remaining blocks come from the same dataflow, so they share K
+    and the ``params`` keys.
     """
     blocks = [block for block in blocks if len(block)]
     if not blocks:
@@ -147,15 +173,19 @@ def concat_candidates(blocks) -> CandidateArrays:
     if len(blocks) == 1:
         return blocks[0]
 
+    def cat(columns):
+        return np.concatenate(columns, axis=-1)
+
     def cat4(tuples):
-        return tuple(np.concatenate(cols) for cols in zip(*tuples))
+        return tuple(cat(cols) for cols in zip(*tuples))
 
     return CandidateArrays(
         ifmap=cat4([block.ifmap for block in blocks]),
         filter=cat4([block.filter for block in blocks]),
         psum=cat4([block.psum for block in blocks]),
-        active_pes=np.concatenate([block.active_pes for block in blocks]),
-        params={name: np.concatenate([block.params[name] for block in blocks])
+        pes=cat([block.pes for block in blocks]),
+        mask=cat([block.mask for block in blocks]),
+        params={name: cat([block.params[name] for block in blocks])
                 for name in blocks[0].params},
     )
 
@@ -172,64 +202,15 @@ def regroup_candidates(block: CandidateArrays, g_p: int) -> CandidateArrays:
     parameter column for winner reconstruction.
     """
     params = dict(block.params)
-    params["g_p"] = np.full(len(block), g_p, dtype=np.int64)
+    params["g_p"] = np.full(block.pes.shape[0], g_p, dtype=np.int64)
     return CandidateArrays(ifmap=block.ifmap, filter=block.filter,
-                           psum=block.psum,
-                           active_pes=block.active_pes * g_p,
-                           params=params)
-
-
-def interleave(columns) -> np.ndarray:
-    """Merge per-scenario columns into one row-major candidate column.
-
-    Given K same-length columns (one per buffer-residency scenario of a
-    fold), returns the length ``K * F`` column in fold-major /
-    scenario-minor order -- the order the scalar generators yield
-    candidates in, which the tie-break depends on.
-    """
-    return np.stack(columns, axis=1).reshape(-1)
-
-
-class ScenarioExpansion:
-    """Fold-major / scenario-minor row expansion with feasibility masks.
-
-    The dataflows whose folds branch into K buffer-residency scenarios
-    (RS, the OS family) compute per-fold columns once and expand them
-    into candidate rows ordered exactly like the scalar yield order:
-    fold-major, scenario innermost, infeasible rows dropped.  This
-    object owns that ordering contract -- which the bit-identical
-    tie-break depends on -- so the enumerators cannot drift apart.
-
-    Built from the K per-scenario feasibility masks (length-F bool
-    columns); exposes the three expansions the enumerators need.
-    """
-
-    def __init__(self, masks) -> None:
-        self.scenarios = len(masks)
-        self.folds = int(masks[0].shape[0])
-        self.keep = interleave(masks)
-
-    def __bool__(self) -> bool:
-        """Whether any candidate row survived the masks."""
-        return bool(self.keep.any())
-
-    def select(self, columns) -> np.ndarray:
-        """Expand K per-scenario column variants into candidate rows."""
-        return interleave(columns)[self.keep]
-
-    def repeat(self, column: np.ndarray) -> np.ndarray:
-        """Expand one scenario-invariant per-fold column into rows."""
-        return np.repeat(column, self.scenarios)[self.keep]
-
-    def scenario_index(self) -> np.ndarray:
-        """The per-row scenario id (0..K-1), for winner reconstruction."""
-        return np.tile(np.arange(self.scenarios, dtype=np.int64),
-                       self.folds)[self.keep]
+                           psum=block.psum, pes=block.pes * g_p,
+                           mask=block.mask, params=params)
 
 
 def _total_energy(block: CandidateArrays, layer: LayerShape,
                   costs: EnergyCosts) -> np.ndarray:
-    """Whole-layer total energy column (Eq. (3) + Eq. (4) + ALU).
+    """Whole-layer total energy grid (Eq. (3) + Eq. (4) + ALU).
 
     Mirrors ``Mapping.total_energy``: per-split Table IV weighted sums,
     added ifmap + filter + psum, plus ``macs * alu`` -- in that order.
@@ -252,7 +233,7 @@ def energy_per_mac(block: CandidateArrays, layer: LayerShape,
 def edp(block: CandidateArrays, layer: LayerShape,
         costs: EnergyCosts) -> np.ndarray:
     """Vectorized ``Mapping.edp``: energy/MAC times the 1/PE delay."""
-    delay = 1.0 / block.active_pes.astype(np.float64)
+    delay = 1.0 / block.pes.astype(np.float64)
     return energy_per_mac(block, layer, costs) * delay
 
 
@@ -280,7 +261,13 @@ SCORERS = {
 
 def score_candidates(block: CandidateArrays, layer: LayerShape,
                      costs: EnergyCosts, objective: str) -> np.ndarray:
-    """Score every candidate row under a built-in objective at once."""
+    """Score every slot under a built-in objective at once.
+
+    Returns one score per slot in fold-major, scenario-minor order,
+    +inf where the slot is infeasible -- so no infeasible slot can win
+    :func:`select_best`, and the feasible ones keep the scalar yield
+    order the tie-break depends on.
+    """
     try:
         scorer = SCORERS[objective]
     except KeyError:
@@ -288,7 +275,8 @@ def score_candidates(block: CandidateArrays, layer: LayerShape,
         raise ValueError(
             f"no vectorized scorer for objective {objective!r}; "
             f"known: {known}") from None
-    return scorer(block, layer, costs)
+    scores = np.where(block.mask, scorer(block, layer, costs), np.inf)
+    return scores.T.reshape(-1)
 
 
 def select_best(scores: np.ndarray, active_pes: np.ndarray,

@@ -59,8 +59,8 @@ def thin_candidates(values, limit: int = 8) -> Tuple[int, ...]:
     Keeps the endpoints and an evenly spread interior so the optimizer
     still sees small, medium and large tile choices.  The paper's search
     is exhaustive; thinning is a performance concession documented in
-    DESIGN.md and tested to not change the optimum on the AlexNet layers
-    (the energy landscape is smooth in the tile sizes).
+    docs/PERFORMANCE.md (the energy landscape is smooth in the tile
+    sizes).
 
     Memoized per distinct list: the dataflow enumerators thin the same
     divisor lists for every layer x hardware cell of a sweep.  Accepts

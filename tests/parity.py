@@ -33,6 +33,7 @@ import random
 import struct
 from contextlib import contextmanager
 
+from repro import faults
 from repro.arch.energy_costs import EnergyCosts
 from repro.arch.hardware import HardwareConfig, square_array_geometry
 from repro.kernels import score_candidates, select_best
@@ -63,6 +64,24 @@ def forced_kernel(mode: str):
             os.environ.pop("REPRO_KERNEL", None)
         else:
             os.environ["REPRO_KERNEL"] = old
+
+
+@contextmanager
+def no_degradation(where: str):
+    """Fail when the vectorized kernel degrades inside the block.
+
+    ``optimize_mapping`` answers a raising kernel with the bit-identical
+    scalar search and ticks the ``kernel_degradations`` recovery
+    counter.  A "vector" search that degraded would be the scalar path
+    compared with itself, so a broken kernel would pass every parity
+    check; this guard makes it fail instead.
+    """
+    before = faults.stats().kernel_degradations
+    yield
+    moved = faults.stats().kernel_degradations - before
+    assert moved == 0, (
+        f"{where}: the vectorized kernel degraded to the scalar path "
+        f"{moved} time(s)")
 
 
 class ShapeGenerator:
@@ -207,11 +226,11 @@ class ShapeGenerator:
 
 
 def _search_both(dataflow, layer, hw, objective: str,
-                 tie_tolerance: float):
+                 tie_tolerance: float, where: str):
     with forced_kernel("scalar"):
         scalar = optimize_mapping(dataflow, layer, hw, objective=objective,
                                   tie_tolerance=tie_tolerance)
-    with forced_kernel("vector"):
+    with forced_kernel("vector"), no_degradation(where):
         vector = optimize_mapping(dataflow, layer, hw, objective=objective,
                                   tie_tolerance=tie_tolerance)
     return scalar, vector
@@ -234,7 +253,7 @@ def check_parity(dataflow, layer: LayerShape, hw: HardwareConfig,
     """
     where = f"{context}{dataflow.name}/{layer.name}/{objective}"
     scalar, vector = _search_both(dataflow, layer, hw, objective,
-                                  tie_tolerance)
+                                  tie_tolerance, where)
     assert scalar.candidates == vector.candidates, (
         f"{where}: candidate counts diverge "
         f"({scalar.candidates} scalar vs {vector.candidates} vector)")

@@ -10,6 +10,7 @@ in the library entry points.
 """
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -19,7 +20,7 @@ from repro.analysis.sweep import (
     pe_logic_area,
     total_chip_area,
 )
-from repro.api import Session
+from repro.api import ResultSet, Scenario, Session
 from repro.arch.hardware import HardwareConfig
 from repro.arch.storage import allocate_storage
 from repro.dataflows.registry import DATAFLOWS
@@ -42,6 +43,7 @@ from repro.engine import (
 )
 from repro.engine.core import _parse_repro_parallel
 from repro.nn.networks import alexnet_conv_layers, alexnet_fc_layers
+from repro.store import ExperimentStore
 
 BATCH = 2
 PES = 256
@@ -458,3 +460,150 @@ class TestEvaluateMany:
         assert engine.cache.stats.size == 2
         assert (dram.mapping.dram_accesses_per_op
                 <= energy.mapping.dram_accesses_per_op + 1e-12)
+
+
+# ----------------------------------------------------------------------
+# One search per distinct shape, per call.
+# ----------------------------------------------------------------------
+
+#: Networks that repeat layer shapes under different names, with their
+#: distinct-shape counts: VGG16 12 in 16 layers, ResNet-18 12 in 21,
+#: MobileNet (grouped and depthwise layers) 20 in 28.
+TWIN_NETWORKS = {"vgg16": 12, "resnet18": 12, "mobilenet": 20}
+
+
+def twin_scenario(network: str) -> Scenario:
+    """The network at batch 1 on all six dataflows."""
+    return Scenario(workload=network, dataflows=tuple(DATAFLOWS),
+                    batches=(1,), pe_counts=(PES,))
+
+
+def twin_cells(network: str):
+    """The cells of :func:`twin_scenario`, in grid order."""
+    return twin_scenario(network).cells()
+
+
+ALL_TWIN_CELLS = [cell for network in TWIN_NETWORKS
+                  for cell in twin_cells(network)]
+
+
+def search_problems(cells) -> set:
+    """The distinct (dataflow, shape, hardware) searches of some cells."""
+    return {(cell.dataflow, replace(layer, name=""), cell.hardware)
+            for cell in cells for layer in cell.layers}
+
+
+def named_keys(cells) -> set:
+    """One cache key per named layer of some cells."""
+    return {job.key for cell in cells for job in cell.job.layer_jobs}
+
+
+@pytest.fixture(scope="module")
+def direct_answers():
+    """Every named layer searched on its own, with no engine at all."""
+    return {job.key: evaluate_layer(job.dataflow, job.layer, job.hardware)
+            for cell in ALL_TWIN_CELLS for job in cell.job.layer_jobs}
+
+
+@pytest.fixture
+def searches(monkeypatch):
+    """The layers of every mapping search run while the test runs."""
+    import repro.energy.model as model
+
+    calls = []
+    search = model.optimize_mapping
+
+    def counting(dataflow, layer, *args, **kwargs):
+        calls.append(layer)
+        return search(dataflow, layer, *args, **kwargs)
+
+    monkeypatch.setattr(model, "optimize_mapping", counting)
+    return calls
+
+
+def assert_direct(cells, evaluations, direct_answers) -> None:
+    """Each named layer got exactly its own direct search's answer."""
+    assert len(evaluations) == len(cells)
+    for cell, evaluation in zip(cells, evaluations):
+        assert evaluation.layers == cell.layers
+        for job, answer in zip(cell.job.layer_jobs, evaluation.evaluations):
+            assert answer == direct_answers[job.key], (
+                f"{cell.dataflow}/{job.layer.name} differs from a direct "
+                f"evaluate_layer")
+
+
+class TestOneSearchPerShape:
+    def test_distinct_shape_counts(self):
+        for network, shapes in TWIN_NETWORKS.items():
+            cells = twin_cells(network)
+            assert len(search_problems(cells[:1])) == shapes, network
+            assert len(cells[0].layers) > shapes
+
+    @pytest.mark.parametrize("network", list(TWIN_NETWORKS))
+    def test_serial_searches_each_shape_once(self, network, searches,
+                                             direct_answers):
+        cells = twin_cells(network)
+        engine = serial_engine()
+        evaluations = engine.evaluate_networks([cell.job for cell in cells])
+        assert_direct(cells, evaluations, direct_answers)
+        assert len(searches) == TWIN_NETWORKS[network] * len(DATAFLOWS)
+        # One LRU entry per named layer, not per search.
+        assert set(engine.cache.keys()) == named_keys(cells)
+        assert engine.cache.stats.misses == len(named_keys(cells))
+
+    @pytest.mark.parametrize("min_jobs", [2, 10 ** 6])
+    def test_thread_pool_matches_serial(self, min_jobs, searches,
+                                        direct_answers):
+        cells = ALL_TWIN_CELLS
+        jobs = [cell.job for cell in cells]
+        config = EngineConfig(parallel=True, executor="thread",
+                              max_workers=2, min_parallel_jobs=min_jobs)
+        with EvaluationEngine(config, EvaluationCache()) as engine:
+            batch = engine.evaluate_networks(jobs, parallel=True)
+        assert_direct(cells, batch, direct_answers)
+        assert len(searches) == len(search_problems(cells))
+        with EvaluationEngine(config, EvaluationCache()) as engine:
+            streamed = dict(engine.evaluate_networks_stream(jobs,
+                                                            parallel=True))
+            assert set(engine.cache.keys()) == named_keys(cells)
+        assert [streamed[i] for i in range(len(jobs))] == batch
+        assert len(searches) == 2 * len(search_problems(cells))
+
+    def test_process_pool_matches_serial(self, direct_answers):
+        """Leads come back unpickled; every twin still gets its layer."""
+        cells = twin_cells("vgg16")
+        config = EngineConfig(parallel=True, executor="process",
+                              max_workers=2)
+        with EvaluationEngine(config, EvaluationCache()) as engine:
+            pooled = engine.evaluate_networks([cell.job for cell in cells],
+                                              parallel=True)
+            assert set(engine.cache.keys()) == named_keys(cells)
+        assert_direct(cells, pooled, direct_answers)
+
+    def test_session_stream_matches_evaluate(self, searches,
+                                             direct_answers):
+        for network in TWIN_NETWORKS:
+            cells = twin_cells(network)
+            del searches[:]
+            with Session(parallel=False) as session:
+                rows = list(session.stream(twin_scenario(network)))
+            assert_direct(cells, [row.evaluation for row in rows],
+                          direct_answers)
+            # The lazy stream shares searches within a cell only.
+            assert len(searches) == TWIN_NETWORKS[network] * len(DATAFLOWS)
+
+    def test_recorded_store_keeps_every_named_layer(self, tmp_path,
+                                                    direct_answers):
+        path = tmp_path / "twins.db"
+        live = []
+        with Session(parallel=False, store=path, record=True) as session:
+            for network in TWIN_NETWORKS:
+                live.extend(session.evaluate(twin_scenario(network)).rows)
+        keys = named_keys(ALL_TWIN_CELLS)
+        with ExperimentStore(path) as store:
+            assert store.evaluation_count() == len(keys)
+            for key in keys:
+                assert store.get_evaluation(key) == direct_answers[key]
+        assert ResultSet.from_store(path).rows == tuple(live)
+        assert_direct(ALL_TWIN_CELLS, [row.evaluation for row in live],
+                      direct_answers)

@@ -25,6 +25,8 @@ from repro.mapping.optimizer import optimize_mapping
 from repro.nn.networks import alexnet, resnet18, vgg16
 from repro.registry import objective_registry
 
+from parity import no_degradation
+
 COSTS = EnergyCosts.table_iv()
 
 #: Seeded sample of the workload space: a few layers per network, CONV
@@ -53,8 +55,9 @@ def _search_both(monkeypatch, dataflow, layer, hw, objective,
     scalar = optimize_mapping(dataflow, layer, hw, objective=objective,
                               tie_tolerance=tie_tolerance)
     monkeypatch.setenv("REPRO_KERNEL", "vector")
-    vector = optimize_mapping(dataflow, layer, hw, objective=objective,
-                              tie_tolerance=tie_tolerance)
+    with no_degradation(f"{dataflow.name}/{layer.name}/{objective}"):
+        vector = optimize_mapping(dataflow, layer, hw, objective=objective,
+                                  tie_tolerance=tie_tolerance)
     return scalar, vector
 
 
