@@ -863,13 +863,15 @@ class Session:
     # ------------------------------------------------------------------
 
     def close(self) -> None:
-        """Finish the run, flush persistence and shut the pool down."""
+        """Commit queued store writes, finish the run, flush persistence
+        and shut the pool down."""
         if self._closed:
             return
         self._closed = True
         if self._cache_file is not None:
             from repro.service.persistence import flush
             flush(self._engine.cache, self._cache_file)
+        self._engine.cache.commit()
         if self._run_id is not None:
             self._store.finish_run(self._run_id)
         if self._owns_engine:

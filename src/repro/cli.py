@@ -67,6 +67,7 @@ from repro.api import (
     default_session,
 )
 from repro.dse import DesignSpace
+from repro.engine.cache import CacheStats
 from repro.engine.core import default_engine
 from repro.registry import get_design_space
 from repro.arch.energy_costs import MemoryLevel
@@ -757,12 +758,19 @@ def cmd_dse(args: argparse.Namespace) -> int:
             print()
             print(pareto.to_table(title="dominated candidates",
                                   rows=pareto.dominated))
-        print(f"cache: {stats.hits} hits / {stats.hits + stats.misses} "
-              f"lookups ({stats.hit_rate:.0%})", file=sys.stderr)
+        print(f"cache: {_cache_summary(stats)}", file=sys.stderr)
     if not len(pareto):
         print("no feasible design point in the space", file=sys.stderr)
         return 1
     return 0
+
+
+def _cache_summary(stats: CacheStats) -> str:
+    """One command's cache traffic: LRU hits, store hits and misses."""
+    lookups = stats.hits + stats.store_hits + stats.misses
+    return (f"{stats.hits} LRU hits + {stats.store_hits} store hits, "
+            f"{stats.misses} misses of {lookups} lookups "
+            f"({stats.hit_rate:.0%} hit rate)")
 
 
 def _batch_result_table(result: BatchResult) -> str:
@@ -779,14 +787,12 @@ def _batch_result_table(result: BatchResult) -> str:
             rows.append([cell.dataflow, str(cell.num_pes),
                          f"{cell.rf_bytes_per_pe} B", str(cell.batch),
                          "infeasible", "-", "-"])
-    cache = result.cache
     return format_table(
         ["dataflow", "PEs", "RF/PE", "batch", "energy/op", "EDP/op",
          "DRAM/op"], rows,
         title=f"batch {result.request_id}: {len(result.cells)} cells, "
-              f"{result.layer_jobs} layer jobs, cache hit rate "
-              f"{cache.hit_rate:.0%} ({cache.hits}/"
-              f"{cache.hits + cache.misses}), {result.elapsed_s:.2f}s")
+              f"{result.layer_jobs} layer jobs, cache "
+              f"{_cache_summary(result.cache)}, {result.elapsed_s:.2f}s")
 
 
 def cmd_batch(args: argparse.Namespace) -> int:

@@ -561,19 +561,29 @@ class DesignSpace:
         the stable candidate identity that checkpoint/resume and the
         frontier's deterministic ordering key on.  With ``sample`` set,
         only the selected indices are yielded (still in expansion
-        order).  Raises :class:`EmptyDesignSpaceError` at exhaustion
+        order), after one walk of the point grid that keeps just the
+        points some selected index lands on (index ``i`` is point
+        ``i % count()`` of dataflow ``i // count()``), so memory stays
+        O(sample).  Raises :class:`EmptyDesignSpaceError` at exhaustion
         when nothing survives.
         """
         selected = self._selected_indices()
+        if selected is not None:
+            count = self.count()
+            wanted = {index % count for index in selected}
+            points = {position: point for position, point
+                      in enumerate(self._expand_points())
+                      if position in wanted}
+            for index in sorted(selected):
+                yield (index, self.dataflows[index // count],
+                       points[index % count])
+            return
         index = 0
-        yielded = False
         for dataflow in self.dataflows:
             for point in self._expand_points():
-                if selected is None or index in selected:
-                    yielded = True
-                    yield index, dataflow, point
+                yield index, dataflow, point
                 index += 1
-        if not yielded:
+        if not index:
             raise EmptyDesignSpaceError(_EMPTY_SPACE_MESSAGE)
 
     def iter_candidates(self) -> Iterator[Tuple[str, DesignPoint]]:

@@ -167,6 +167,10 @@ class EvaluationCache:
         with self._lock:
             self._put_locked(key, value)
 
+    def commit(self) -> None:
+        """Persist what this engine call put (the in-memory LRU has
+        nothing to write; a store-backed tier overrides this)."""
+
     def _put_locked(self, key: CacheKey,
                     value: Optional["LayerEvaluation"]) -> None:
         self._data[key] = value

@@ -13,14 +13,19 @@ hardware, objective) problems are turned into
   out across workers, with a ``parallel=False`` escape hatch on every
   entry point.
 
-The engine only ever calls ``cache.get``/``cache.put``, so the cache
-*tiering* is the cache object's business: a plain
-:class:`~repro.engine.cache.EvaluationCache` is the in-memory LRU, and
-a :class:`~repro.store.tier.StoreTierCache` (what
-``Session(store=...)`` installs) falls through to the SQLite
-experiment store on an LRU miss and writes computed evaluations
-through -- warm runs then survive process restarts without the engine
-knowing a database exists.
+The engine only ever calls ``cache.get``/``cache.put`` and, once per
+call, ``cache.commit()``, so the cache *tiering* is the cache object's
+business: a plain :class:`~repro.engine.cache.EvaluationCache` is the
+in-memory LRU (its ``commit`` does nothing), and a
+:class:`~repro.store.tier.StoreTierCache` (what ``Session(store=...)``
+installs) falls through to the SQLite experiment store on an LRU miss
+and queues computed evaluations until ``commit`` writes them in one
+transaction -- warm runs then survive process restarts without the
+engine knowing a database exists.  The commit points are the end of
+:meth:`EvaluationEngine.evaluate_many`, the end of
+:meth:`EvaluationEngine.evaluate_networks_stream` (exhausted, abandoned
+or failed) and each pool chunk's completion callback, whose last call
+can run after the stream has ended.
 
 The unit of parallel work is one *layer* evaluation, not one network or
 sweep point: a sweep over G grid points of L layers becomes G x L
@@ -555,8 +560,18 @@ class EvaluationEngine:
         per-cell results are bit-identical to
         :meth:`evaluate_networks` -- only the delivery schedule differs
         -- which is what lets :meth:`repro.api.Session.stream` hand
-        callers early rows without waiting on the whole grid.
+        callers early rows without waiting on the whole grid.  The
+        stream commits the cache when it ends, whether exhausted,
+        abandoned or failed, so what it computed persists.
         """
+        try:
+            yield from self._stream(jobs, parallel)
+        finally:
+            self.cache.commit()
+
+    def _stream(self, jobs: Iterable[NetworkJob], parallel: Optional[bool]
+                ) -> Iterator[Tuple[int, NetworkEvaluation]]:
+        """The body of :meth:`evaluate_networks_stream`."""
         enabled = self.config.parallel if parallel is None else parallel
         if not enabled:
             yield from self._stream_serial(jobs)
@@ -605,11 +620,14 @@ class EvaluationEngine:
             # Cache from the dispatcher's completion callback, not the
             # consumption loop: if the caller abandons the stream early
             # (the documented use), already-computed results are still
-            # kept -- including a failed row's siblings.
+            # kept -- including a failed row's siblings.  Commit here
+            # too: the last chunk's callback can run after the stream's
+            # own final commit.
             for (lead, _job), (ok, payload) in zip(chunk, entries):
                 if ok:
                     for key, value in _fan_out(twins, lead, payload):
                         self.cache.put(key, value)
+            self.cache.commit()
 
         key_cells: Dict[CacheKey, List[int]] = {}
         remaining: List[int] = []
@@ -676,7 +694,8 @@ class EvaluationEngine:
         is neither cached nor duplicated earlier in the batch are
         computed, and misses that differ only in the layer name share
         one search; when the parallel path is enabled the searches run
-        on the engine's pool, otherwise inline.
+        on the engine's pool, otherwise inline.  The cache is committed
+        before the call returns or raises.
         """
         jobs = list(jobs)
         results: Dict[CacheKey, Optional[LayerEvaluation]] = {}
@@ -691,9 +710,13 @@ class EvaluationEngine:
             else:
                 results[key] = value
         if pending:
-            for key, value in self._run(list(pending.items()), parallel):
-                self.cache.put(key, value)
-                results[key] = value
+            try:
+                for key, value in self._run(list(pending.items()),
+                                            parallel):
+                    self.cache.put(key, value)
+                    results[key] = value
+            finally:
+                self.cache.commit()
         return [results[job.key] for job in jobs]
 
     # ------------------------------------------------------------------

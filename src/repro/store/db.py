@@ -50,7 +50,15 @@ import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Dict,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro import faults
 from repro.engine.cache import MISSING, CacheKey
@@ -576,15 +584,20 @@ class ExperimentStore:
     # -- dimension interning --------------------------------------------
 
     def _intern(self, conn: sqlite3.Connection, table: str, id_col: str,
-                where: Dict, extra: Optional[Dict] = None) -> int:
-        """The id of a dimension row, inserting it when new."""
+                where: Dict,
+                extra: Optional[Callable[[], Dict]] = None) -> int:
+        """The id of a dimension row, inserting it when new.
+
+        ``extra`` builds the non-identity columns; it runs only when
+        the row is inserted.
+        """
         clause = " AND ".join(f"{name}=?" for name in where)
         row = conn.execute(
             f"SELECT {id_col} FROM {table} WHERE {clause}",
             tuple(where.values())).fetchone()
         if row is not None:
             return row[0]
-        payload = {**where, **(extra or {})}
+        payload = {**where, **(extra() if extra is not None else {})}
         columns = ", ".join(payload)
         marks = ", ".join("?" for _ in payload)
         cursor = conn.execute(
@@ -611,11 +624,32 @@ class ExperimentStore:
         return self._intern(
             conn, "hardware", "hardware_id",
             {"fingerprint": hardware_fingerprint(hw)},
-            extra={"num_pes": hw.num_pes, "array_h": hw.array_h,
-                   "array_w": hw.array_w,
-                   "rf_bytes_per_pe": hw.rf_bytes_per_pe,
-                   "buffer_bytes": hw.buffer_bytes,
-                   "config": _pickle(hw)})
+            extra=lambda: {"num_pes": hw.num_pes, "array_h": hw.array_h,
+                           "array_w": hw.array_w,
+                           "rf_bytes_per_pe": hw.rf_bytes_per_pe,
+                           "buffer_bytes": hw.buffer_bytes,
+                           "config": _pickle(hw)})
+
+    def _ids(self, conn: sqlite3.Connection) -> Callable[[str, object], int]:
+        """An id lookup that interns each distinct value once.
+
+        ``ids(kind, value)`` resolves a ``"dataflow"``, ``"layer"``,
+        ``"hardware"`` or ``"objective"`` value to its dimension row id.
+        Build it inside a write-transaction body: the memo then lives
+        for one attempt only, so ids a rolled-back attempt inserted
+        never reach the retry.
+        """
+        lookups = {"dataflow": self._dataflow_id, "layer": self._layer_id,
+                   "hardware": self._hardware_id,
+                   "objective": self._objective_id}
+        memo: Dict[Tuple[str, object], int] = {}
+
+        def ids(kind: str, value) -> int:
+            found = memo.get((kind, value))
+            if found is None:
+                found = memo[kind, value] = lookups[kind](conn, value)
+            return found
+        return ids
 
     # -- resilient write transactions ------------------------------------
 
@@ -739,31 +773,29 @@ class ExperimentStore:
     def put_evaluations(self, items, run_id: Optional[int] = None) -> int:
         """Record ``(CacheKey, LayerEvaluation | None)`` pairs.
 
-        The table is unique on the cache identity; keys the store has
-        already seen are left untouched (evaluations are pure functions
-        of their key, so the first write is as good as any).  Returns
-        the number of newly recorded keys.
+        All pairs land in one write transaction, which interns each
+        distinct dimension value once.  The table is unique on the
+        cache identity; keys the store has already seen are left
+        untouched (evaluations are pure functions of their key, so the
+        first write is as good as any).  Returns the number of newly
+        recorded keys.
         """
-        items = list(items)
+        items = [(key, None if value is None else _pickle(value))
+                 for key, value in items]
         if not items:
             return 0
 
         def body(conn: sqlite3.Connection) -> int:
-            added = 0
-            for key, value in items:
-                row = (self._dataflow_id(conn, key.dataflow),
-                       self._layer_id(conn, key.layer),
-                       self._hardware_id(conn, key.hardware),
-                       self._objective_id(conn, key.objective))
-                cursor = conn.execute(
-                    "INSERT OR IGNORE INTO evaluations (dataflow_id,"
-                    " layer_id, hardware_id, objective_id, feasible,"
-                    " evaluation, run_id) VALUES (?, ?, ?, ?, ?, ?, ?)",
-                    (*row, 1 if value is not None else 0,
-                     _pickle(value) if value is not None else None,
-                     run_id))
-                added += cursor.rowcount
-            return added
+            ids = self._ids(conn)
+            return conn.executemany(
+                "INSERT OR IGNORE INTO evaluations (dataflow_id,"
+                " layer_id, hardware_id, objective_id, feasible,"
+                " evaluation, run_id) VALUES (?, ?, ?, ?, ?, ?, ?)",
+                [(ids("dataflow", key.dataflow), ids("layer", key.layer),
+                  ids("hardware", key.hardware),
+                  ids("objective", key.objective),
+                  0 if blob is None else 1, blob, run_id)
+                 for key, blob in items]).rowcount
         return self._write_txn(body)
 
     def evaluation_count(self) -> int:
@@ -790,6 +822,7 @@ class ExperimentStore:
             return 0
 
         def body(conn: sqlite3.Connection) -> int:
+            ids = self._ids(conn)
             for row in rows:
                 feasible = bool(row.feasible)
                 metrics = [getattr(row, name) if feasible else None
@@ -807,9 +840,9 @@ class ExperimentStore:
                     "VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?,"
                     " ?, ?, ?, ?, ?, ?)",
                     (run_id, kind, row.workload,
-                     self._dataflow_id(conn, row.dataflow), row.batch,
+                     ids("dataflow", row.dataflow), row.batch,
                      row.num_pes, row.rf_bytes_per_pe,
-                     self._objective_id(conn, row.objective),
+                     ids("objective", row.objective),
                      1 if feasible else 0, *metrics,
                      getattr(row, "array_h", None),
                      getattr(row, "array_w", None),

@@ -2,20 +2,22 @@
 
 :class:`StoreTierCache` slots an :class:`~repro.store.db.ExperimentStore`
 underneath the engine's in-memory LRU: lookups fall through LRU -> store
--> miss, and every computed evaluation is written through to the store,
-so a *second* recorded run of the same sweep rescores nothing even in a
-fresh process.  This replaces the old flat-pickle disk tier with a
-queryable one -- the same rows that answer warm lookups are the rows
-``repro query`` reads.
+-> miss, and every computed evaluation is admitted to the LRU at once
+and queued for the store.  :meth:`StoreTierCache.commit` writes the
+queue as one transaction, so an engine call pays for one store write,
+not one per layer evaluation, and a *second* recorded run of the same
+sweep rescores nothing even in a fresh process.  This replaces the old
+flat-pickle disk tier with a queryable one -- the same rows that answer
+warm lookups are the rows ``repro query`` reads.
 
-The engine is oblivious: it calls ``cache.get``/``cache.put`` exactly
-as before, which is the point of the refactor -- the persistence path
-changed under every layer without any layer changing its calls.
+The engine only calls ``cache.get``/``cache.put`` and, at the end of
+each call, ``cache.commit()`` (a no-op on the plain LRU); where the
+answers persist is the cache's business, not the engine's.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 from repro.engine.cache import (
     MISSING,
@@ -33,9 +35,10 @@ class StoreTierCache(EvaluationCache):
     """A bounded LRU backed by an experiment store's evaluation table.
 
     ``get`` promotes store hits into the LRU (counted separately as
-    :attr:`~repro.engine.cache.CacheStats.store_hits`); ``put`` writes
-    through, tagging rows with the active run when one is recording.
-    The store is borrowed, not owned -- closing is the session's job.
+    :attr:`~repro.engine.cache.CacheStats.store_hits`); ``put`` admits
+    to the LRU and queues the store write, which :meth:`commit` lands,
+    tagged with the active run when one is recording.  The store is
+    borrowed, not owned -- closing is the session's job.
     """
 
     def __init__(self, store: ExperimentStore,
@@ -43,6 +46,7 @@ class StoreTierCache(EvaluationCache):
         super().__init__(max_entries=max_entries)
         self.store = store
         self._store_hits = 0
+        self._queue: List[Tuple[CacheKey, Optional["LayerEvaluation"]]] = []
         #: Run id stamped onto written evaluations (None outside a
         #: recorded run); set by the owning Session.
         self.run_id: Optional[int] = None
@@ -65,9 +69,23 @@ class StoreTierCache(EvaluationCache):
 
     def put(self, key: CacheKey,
             value: Optional["LayerEvaluation"]) -> None:
-        """Admit to the LRU and write through to the store."""
-        super().put(key, value)
-        self.store.put_evaluations([(key, value)], run_id=self.run_id)
+        """Admit to the LRU and queue the store write for :meth:`commit`."""
+        with self._lock:
+            self._put_locked(key, value)
+            self._queue.append((key, value))
+
+    def commit(self) -> None:
+        """Write every queued evaluation to the store in one transaction.
+
+        The queue is swapped out under the cache lock and written
+        outside it, so lookups and puts from other threads never wait
+        on the database.  A write that still fails after the store's
+        retries raises here; its evaluations stay in the LRU.
+        """
+        with self._lock:
+            queue, self._queue = self._queue, []
+        if queue:
+            self.store.put_evaluations(queue, run_id=self.run_id)
 
     def clear(self) -> None:
         """Drop the LRU tier and counters (the store keeps its rows)."""

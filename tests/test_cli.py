@@ -2,10 +2,22 @@
 
 import io
 import json
+import re
 
 import pytest
 
 from repro.cli import build_parser, main
+
+#: The cache traffic line of ``repro dse`` and ``repro batch``.
+CACHE_LINE = re.compile(r"(\d+) LRU hits \+ (\d+) store hits, "
+                        r"(\d+) misses of (\d+) lookups")
+
+
+def cache_traffic(text: str) -> dict:
+    """LRU hits, store hits, misses and lookups from a cache line."""
+    (match,) = CACHE_LINE.findall(text)
+    return dict(zip(("lru", "store", "misses", "lookups"),
+                    map(int, match)))
 
 
 class TestCli:
@@ -142,6 +154,18 @@ class TestCliBatch:
         assert cold["cache"]["hit_rate"] == 0.0
         assert warm["cache"]["hit_rate"] == 1.0
         assert warm["cells"] == cold["cells"]
+
+    def test_batch_store_warm_rerun_reports_store_hits(self, tmp_path,
+                                                       capsys):
+        args = ["batch", self.spec_file(tmp_path), "--serial", "--store",
+                str(tmp_path / "batch.db")]
+        assert main(args) == 0
+        cold = cache_traffic(capsys.readouterr().out)
+        assert main(args) == 0
+        warm = cache_traffic(capsys.readouterr().out)
+        assert cold["misses"] == cold["lookups"] > 0
+        assert warm == {"lru": 0, "store": cold["misses"], "misses": 0,
+                        "lookups": cold["lookups"]}
 
     def test_batch_spec_from_stdin(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(SMOKE_SPEC)))
@@ -324,6 +348,19 @@ class TestCliDse:
         # answers straight from the recorded cells.
         assert main(args + ["--resume"]) == 0
         assert json.loads(capsys.readouterr().out) == first
+
+
+    def test_dse_store_warm_rerun_reports_store_hits(self, tmp_path,
+                                                     capsys):
+        args = self.ARGS + ["--sample", "6", "--store",
+                            str(tmp_path / "dse.db"), "--record"]
+        assert main(args) == 0
+        cold = cache_traffic(capsys.readouterr().err)
+        assert main(args) == 0
+        warm = cache_traffic(capsys.readouterr().err)
+        assert cold["misses"] == cold["lookups"] > 0
+        assert warm == {"lru": 0, "store": cold["misses"], "misses": 0,
+                        "lookups": cold["lookups"]}
 
 
 class TestCliStore:

@@ -417,6 +417,35 @@ class TestSampling:
         assert pareto.num_evaluated == 6
         assert len(pareto.candidates) == 6
 
+    PARITY_SPACES = {
+        "free": {},
+        "area_budget": dict(area_budget=48_000.0),  # prunes 3 of 8
+        "equal_area": dict(workload="alexnet-conv", glb_choices=None,
+                           pe_counts=(16, 64, 168, 256),
+                           rf_choices=(64, 128, 256, 512, 1024),
+                           equal_area=True),
+        "array_shapes": dict(pe_counts=(16,),
+                             array_shapes=((12, 14), (4, 8), (2, 16))),
+    }
+
+    @pytest.mark.parametrize("sampler", ["random", "halton"])
+    @pytest.mark.parametrize("kind", sorted(PARITY_SPACES))
+    def test_sampled_stream_is_the_filtered_full_stream(self, kind,
+                                                        sampler):
+        """The one-walk sampled stream yields exactly the unsampled
+        stream's triples at the selected indices, in the same order."""
+        overrides = self.PARITY_SPACES[kind]
+        full = tiny_space(**overrides)
+        assert 8 < full.candidate_count() < 100
+        for seed in (0, 5):
+            sampled = tiny_space(**overrides, sample=7, seed=seed,
+                                 sampler=sampler)
+            selected = sampled._selected_indices()
+            assert len(selected) == 7
+            expected = [item for item in full.iter_candidates_indexed()
+                        if item[0] in selected]
+            assert list(sampled.iter_candidates_indexed()) == expected
+
     def test_fingerprint_tracks_sampling(self):
         assert tiny_space().fingerprint() != \
             tiny_space(sample=10).fingerprint()

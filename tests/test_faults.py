@@ -22,7 +22,7 @@ import pytest
 from repro import faults
 from repro.api import Scenario, Session
 from repro.engine import EngineConfig, EvaluationCache
-from repro.engine.cache import read_snapshot, write_snapshot
+from repro.engine.cache import CacheKey, read_snapshot, write_snapshot
 from repro.faults import FaultPlan, FaultRule, FaultStats, InjectedFault
 from repro.nn.layer import conv_layer
 from repro.service import persistence
@@ -353,6 +353,44 @@ class TestStoreWriteRetry:
                 with pytest.raises(sqlite3.OperationalError):
                     store.begin_run(label="doomed")
         assert faults.stats().store_write_retries == WRITE_ATTEMPTS - 1
+
+    def test_mid_batch_failure_leaves_nothing_and_retry_lands_all(
+            self, tmp_path, monkeypatch):
+        """A batch that fails after interning a new hardware row rolls
+        back whole; the retry re-interns from scratch, so every row it
+        writes references rows that exist."""
+        with Session(parallel=False) as session:
+            results = session.evaluate(Scenario(**GRID))
+        items = [(CacheKey(dataflow=row.dataflow, layer=layer,
+                           hardware=cell.hardware, objective=row.objective),
+                  evaluation)
+                 for row, cell in zip(results, Scenario(**GRID).cells())
+                 for layer, evaluation in zip(
+                     cell.layers, row.evaluation.evaluations)]
+        assert len({key.hardware for key, _ in items}) == 3
+        real = ExperimentStore._hardware_id
+        seen = []
+
+        def flaky(self, conn, hw):
+            seen.append(hw)
+            if len(seen) == 2:  # first attempt, after one new hardware row
+                raise sqlite3.OperationalError("injected mid-batch failure")
+            if len(seen) == 3:  # the retry starts from an empty table
+                assert conn.execute(
+                    "SELECT COUNT(*) FROM hardware").fetchone() == (0,)
+            return real(self, conn, hw)
+
+        monkeypatch.setattr(ExperimentStore, "_hardware_id", flaky)
+        with ExperimentStore(tmp_path / "s.db") as store:
+            assert store.put_evaluations(items) == len(items)
+            conn = store._reader()
+            assert conn.execute("PRAGMA foreign_key_check").fetchall() == []
+            assert conn.execute(
+                "SELECT COUNT(*) FROM hardware").fetchone() == (3,)
+            for key, evaluation in items:
+                assert store.get_evaluation(key) == evaluation
+        assert len(seen) == 2 + 3
+        assert faults.stats().store_write_retries == 1
 
 
 class TestServeLoopExit:

@@ -7,10 +7,15 @@ to the live rows, and a second recorded run must rescore nothing
 (two threads streaming into one store; a reader querying mid-write)
 and format safety (corrupt/foreign/newer files raise
 :class:`StoreFormatError`; a v1 database migrates forward in place).
+The commit points are pinned too: each engine call lands its
+evaluations in one store transaction.
 """
 
 import sqlite3
+import sys
 import threading
+import time
+from collections import Counter
 
 import pytest
 
@@ -163,6 +168,154 @@ class TestRecordedParity:
 
 
 # ----------------------------------------------------------------------
+# Commit points: one evaluation transaction per engine call.
+# ----------------------------------------------------------------------
+
+
+TWO_LAYERS = (conv_layer("C1", H=10, R=3, E=8, C=4, M=8, N=1),
+              conv_layer("C2", H=8, R=3, E=6, C=8, M=8, N=1))
+
+
+@pytest.fixture
+def put_calls(monkeypatch):
+    """Rows per ``ExperimentStore.put_evaluations`` call, in call order."""
+    calls = []
+    real = ExperimentStore.put_evaluations
+
+    def counting(self, items, run_id=None):
+        items = list(items)
+        calls.append(len(items))
+        return real(self, items, run_id)
+
+    monkeypatch.setattr(ExperimentStore, "put_evaluations", counting)
+    return calls
+
+
+def two_layer_scenario(pe_counts=(16, 32, 64)) -> Scenario:
+    return Scenario(workload=TWO_LAYERS, dataflows=("RS", "NLR"),
+                    batches=(1,), pe_counts=pe_counts)
+
+
+def cell_keys(cells):
+    return {CacheKey(dataflow=cell.job.dataflow.name, layer=layer,
+                     hardware=cell.job.hardware, objective=cell.objective)
+            for cell in cells for layer in cell.layers}
+
+
+class TestCommitPoints:
+    CHUNK = 3
+
+    def _space(self):
+        from repro.dse import DesignSpace
+
+        return DesignSpace(workload=TWO_LAYERS, dataflows=("RS", "NLR"),
+                           batch=1, pe_counts=(16, 32, 64),
+                           rf_choices=(64, 512), sample=7, seed=1)
+
+    def test_recorded_explore_writes_once_per_chunk(self, tmp_path,
+                                                    put_calls):
+        space = self._space()
+        total = space.candidate_count()
+        with recording_session(tmp_path / "exp.db") as session:
+            session.explore(space, chunk=self.CHUNK)
+        chunks = -(-total // self.CHUNK)
+        assert len(put_calls) == chunks
+        assert sum(put_calls) == total * len(TWO_LAYERS)
+
+    def test_each_chunk_is_durable_at_its_progress_event(self, tmp_path,
+                                                         put_calls):
+        from repro.dse import explore_stream
+
+        path = tmp_path / "exp.db"
+        progressed = 0
+        with recording_session(path) as session:
+            for kind, payload in explore_stream(
+                    self._space(), session=session, chunk=self.CHUNK):
+                if kind != "progress":
+                    continue
+                progressed += 1
+                assert len(put_calls) == progressed
+                with ExperimentStore(path) as reader:
+                    assert reader.evaluation_count() \
+                        == payload["done"] * len(TWO_LAYERS)
+        assert progressed == len(put_calls) == 3
+
+    def test_session_evaluate_commits_once_per_call(self, tmp_path,
+                                                    put_calls):
+        path = tmp_path / "exp.db"
+        with recording_session(path) as session:
+            session.evaluate(two_layer_scenario())  # 6 cells x 2 layers
+            assert put_calls == [12]
+            session.evaluate(two_layer_scenario(pe_counts=(128, 256)))
+            assert put_calls == [12, 8]
+            session.evaluate(two_layer_scenario())  # all LRU hits
+        assert put_calls == [12, 8]
+        with ExperimentStore(path) as store:
+            assert store.evaluation_count() == 20
+
+    def test_closed_stream_persists_the_rows_it_yielded(self, tmp_path,
+                                                        put_calls):
+        path = tmp_path / "exp.db"
+        scenario = two_layer_scenario()
+        with recording_session(path) as session:
+            stream = session.stream(scenario)
+            row = next(stream)
+            stream.close()
+            assert put_calls == [len(TWO_LAYERS)]
+            with ExperimentStore(path) as reader:
+                assert reader.evaluation_count() == len(TWO_LAYERS)
+                for layer, evaluation in zip(
+                        TWO_LAYERS, row.evaluation.evaluations):
+                    key = CacheKey(dataflow=row.dataflow, layer=layer,
+                                   hardware=scenario.cells()[0].hardware,
+                                   objective=row.objective)
+                    assert reader.get_evaluation(key) == evaluation
+
+    def test_thread_pool_stream_persists_every_key(self, tmp_path,
+                                                   put_calls, monkeypatch):
+        # Delay the pool's completion callbacks, so they cache their
+        # chunks after the stream and close() have already committed --
+        # the order Future.set_result allows for the last chunk.
+        real_put = StoreTierCache.put
+
+        def late_put(self, key, value):
+            if threading.current_thread().name.startswith("repro-engine"):
+                time.sleep(0.02)
+            real_put(self, key, value)
+
+        monkeypatch.setattr(StoreTierCache, "put", late_put)
+        path = tmp_path / "exp.db"
+        scenario = two_layer_scenario()
+        config = EngineConfig(parallel=True, executor="thread",
+                              max_workers=2, chunk_size=2)
+        session = Session(engine_config=config, store=path, record=True)
+        rows = list(session.stream(scenario))
+        session.close()
+        keys = cell_keys(scenario.cells())
+        assert len(rows) == 6
+        # One transaction per dispatched chunk at most, never per key.
+        assert sum(put_calls) == len(keys)
+        assert len(put_calls) <= -(-len(keys) // 2)
+        with ExperimentStore(path) as store:
+            assert store.evaluation_count() == len(keys)
+
+    def test_session_close_commits_what_is_left(self, tmp_path):
+        path = tmp_path / "exp.db"
+        (layer,) = tiny_layers()
+        key = CacheKey(dataflow="RS", layer=layer,
+                       hardware=tiny_scenario().cells()[0].hardware,
+                       objective="energy")
+        session = Session(parallel=False, store=path)
+        session.cache.put(key, None)  # a put outside any engine call
+        with ExperimentStore(path) as reader:
+            assert reader.evaluation_count() == 0
+        session.close()
+        with ExperimentStore(path) as reader:
+            assert reader.evaluation_count() == 1
+            assert reader.get_evaluation(key) is None
+
+
+# ----------------------------------------------------------------------
 # Exploration checkpoints: interrupted DSE resumes from the store.
 # ----------------------------------------------------------------------
 
@@ -274,6 +427,53 @@ class TestConcurrency:
                 assert len(store.query_cells(batch=batch)) == 2
         finally:
             store.close()
+
+    def test_concurrent_puts_and_commits_lose_nothing(self):
+        """Threads sharing one tier put and commit at random moments;
+        every queued evaluation is written exactly once."""
+
+        class CountingStore:
+            """Stands in for the store: records each written key."""
+
+            def __init__(self):
+                self.written = []
+                self._lock = threading.Lock()
+
+            def put_evaluations(self, items, run_id=None):
+                with self._lock:
+                    self.written.extend(key for key, _ in items)
+
+        threads_n, per_thread = 8, 1500
+        hw = tiny_scenario().cells()[0].hardware
+        keys = [[CacheKey(dataflow="RS", hardware=hw, objective="energy",
+                          layer=conv_layer(f"W{n}_{i}", H=16, R=3, E=14,
+                                           C=8, M=16, N=1))
+                 for i in range(per_thread)] for n in range(threads_n)]
+        store = CountingStore()
+        cache = StoreTierCache(store, max_entries=threads_n * per_thread)
+
+        def work(mine) -> None:
+            for i, key in enumerate(mine):
+                cache.put(key, None)
+                if i % 5 == 0:
+                    cache.commit()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(mine,))
+                       for mine in keys]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        cache.commit()
+        assert Counter(store.written) == Counter(
+            key for mine in keys for key in mine)
+        assert len(cache) == threads_n * per_thread
 
     def test_reader_queries_mid_write(self, tmp_path):
         store = ExperimentStore(tmp_path / "exp.db")
