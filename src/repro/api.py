@@ -16,8 +16,8 @@ energy model, Section VI):
   its bounded LRU cache, the optional persistent disk tier and the
   worker pools.  It is the *only* place engines are constructed on the
   CLI, service and analysis paths.
-* :meth:`Session.evaluate` -- one deduplicated engine dispatch of the
-  whole grid, answered as a :class:`ResultSet`: tabular,
+* :meth:`Session.evaluate` -- one engine call over the whole grid,
+  answered as a :class:`ResultSet`: tabular,
   JSON-round-trippable, with ``filter``/``best``/``group_by`` helpers.
 * :meth:`Session.stream` -- the same grid, yielded one
   :class:`Result` at a time as cells complete, so callers can render
@@ -778,11 +778,14 @@ class Session:
 
     def evaluate(self, scenario: Scenario,
                  parallel: Optional[bool] = None) -> ResultSet:
-        """Answer a whole scenario as one deduplicated engine batch.
+        """Answer a whole scenario in one engine call.
 
-        Rows come back in grid order (dataflows x batches x hardware
-        points).  ``parallel`` overrides the session's pool policy for
-        this call only.
+        A parallel session answers the grid as one deduplicated engine
+        batch; a serial one answers it cell by cell, each cell its own
+        batch, so a layer an earlier cell computed is a cache hit.  Rows
+        come back in grid order (dataflows x batches x hardware points).
+        ``parallel`` overrides the session's pool policy for this call
+        only.
         """
         cells = scenario.cells()
         evaluations = self._engine.evaluate_networks(

@@ -1106,11 +1106,11 @@ def explore(space: DesignSpace, *, session=None,
     Drives :func:`explore_stream` to completion: candidates stream
     through the engine in chunks, the frontier is maintained
     incrementally, and the final :class:`ParetoSet` is returned.
-    Because each chunk is one deduplicated engine batch, any (dataflow,
-    layer, hardware, objective) sub-problem seen before -- in this
-    exploration, a previous one, or any other driver sharing the
-    session -- is answered from the cache tiers instead of re-running
-    the mapping search.
+    Because each chunk is one engine call over the session's cache
+    tiers, any (dataflow, layer, hardware, objective) sub-problem seen
+    before -- in this exploration, a previous one, or any other driver
+    sharing the session -- is answered from the cache tiers instead of
+    re-running the mapping search.
 
     ``session`` defaults to :func:`repro.api.default_session` (the
     process-wide shared engine); ``parallel`` overrides the session's

@@ -13,6 +13,13 @@ hardware, objective) problems are turned into
   out across workers, with a ``parallel=False`` escape hatch on every
   entry point.
 
+Every entry point runs one loop: ``evaluate_networks_stream`` feeds
+*batches* of cells (one cell per batch on a serial call, the whole grid
+on a parallel one) to ``_batch``, which does cache-get -> search ->
+cache-put and leaves the searching to ``_dispatch``, inline or pooled.
+``evaluate_networks`` collects that stream in job order, and
+``evaluate_many`` wraps it with one single-layer cell per job.
+
 The engine only ever calls ``cache.get``/``cache.put`` and, once per
 call, ``cache.commit()``, so the cache *tiering* is the cache object's
 business: a plain :class:`~repro.engine.cache.EvaluationCache` is the
@@ -22,10 +29,10 @@ installs) falls through to the SQLite experiment store on an LRU miss
 and queues computed evaluations until ``commit`` writes them in one
 transaction -- warm runs then survive process restarts without the
 engine knowing a database exists.  The commit points are the end of
-:meth:`EvaluationEngine.evaluate_many`, the end of
 :meth:`EvaluationEngine.evaluate_networks_stream` (exhausted, abandoned
-or failed) and each pool chunk's completion callback, whose last call
-can run after the stream has ended.
+or failed), where every entry point ends, and each pool chunk's
+completion callback, whose last call can run after an abandoned stream
+has ended.
 
 The unit of parallel work is one *layer* evaluation, not one network or
 sweep point: a sweep over G grid points of L layers becomes G x L
@@ -63,6 +70,7 @@ import logging
 import math
 import os
 import pickle
+import queue
 import threading
 import time
 from concurrent.futures import (
@@ -70,7 +78,6 @@ from concurrent.futures import (
     Executor,
     ProcessPoolExecutor,
     ThreadPoolExecutor,
-    as_completed,
 )
 from dataclasses import dataclass, fields, replace
 from typing import (
@@ -145,7 +152,8 @@ class EngineConfig:
         Pool size; None lets ``concurrent.futures`` pick.
     min_parallel_jobs:
         Pools are only engaged when at least this many uncached tasks
-        are pending; smaller batches run inline to avoid pool overhead.
+        are pending; smaller batches run inline (the serial path) to
+        avoid pool overhead.
     chunk_size:
         Tasks per dispatched batch.  None (default) auto-sizes to about
         four chunks per worker, which amortizes the per-task IPC and
@@ -214,9 +222,9 @@ class NetworkJob:
     The batch-level unit of engine work: every driver that evaluates a
     grid -- the Fig. 15 sweep, the experiment suites, the batch service
     -- describes its cells as ``NetworkJob``s and hands them to
-    :meth:`EvaluationEngine.evaluate_networks`, which flattens them into
-    deduplicated :class:`LayerJob`s so one layer shared by many cells is
-    optimized exactly once.
+    :meth:`EvaluationEngine.evaluate_networks`, which looks up each
+    distinct layer of a batch once, so one layer shared by many cells
+    of the batch is optimized exactly once.
     """
 
     dataflow: Dataflow
@@ -237,24 +245,17 @@ class NetworkJob:
                               self.objective) for layer in self.layers)
 
 
-def _evaluate_layer_task(dataflow: Dataflow, layer: LayerShape,
-                         hw: HardwareConfig,
-                         objective: str) -> Optional[LayerEvaluation]:
-    """Top-level worker body (must be picklable for process pools)."""
-    return evaluate_layer(dataflow, layer, hw, None, objective)
-
-
 # ----------------------------------------------------------------------
-# One search per distinct shape, per call.
+# One search per distinct shape, per batch.
 #
 # The mapping search reads every LayerShape field except ``name``, so
 # two named layers of one shape -- VGG16's conv3_2 and conv3_3, the
 # repeated blocks of ResNet-18 and MobileNet -- ask for the same search.
-# Within one engine call (one cell on the lazy serial stream) misses
-# that share a search problem are searched once, and every named layer
-# still gets its own evaluation, cache entry and store row.  The
-# grouping lives only as long as the call: a process-wide memo would
-# answer a fresh session's misses from a search it never ran.
+# Within one batch (one cell on a serial call) misses that share a
+# search problem are searched once, and every named layer still gets
+# its own evaluation, cache entry and store row.  The grouping lives
+# only as long as the batch: a process-wide memo would answer a fresh
+# session's misses from a search it never ran.
 # ----------------------------------------------------------------------
 
 
@@ -276,35 +277,55 @@ def _for_layer(evaluation: Optional[LayerEvaluation],
     return replace(evaluation, layer=layer)
 
 
-def _search_once(key: CacheKey, job: LayerJob,
-                 searched: Dict[tuple, Optional[LayerEvaluation]]
-                 ) -> Optional[LayerEvaluation]:
-    """Evaluate ``job``, reusing a search already in ``searched``."""
-    problem = _search_problem(key)
-    if problem not in searched:
-        searched[problem] = _evaluate_layer_task(
-            job.dataflow, job.layer, job.hardware, job.objective)
-    return _for_layer(searched[problem], job.layer)
+class _Cell:
+    """One cell of a batch while its layers' answers come in."""
+
+    __slots__ = ("index", "job", "evaluations", "waiting")
+
+    def __init__(self, index: int, job: NetworkJob) -> None:
+        self.index, self.job = index, job
+        self.evaluations: list = []  # per layer; its _Group until answered
+        self.waiting = 0  # layers still unanswered
+
+    def result(self) -> Tuple[int, NetworkEvaluation]:
+        """The finished cell, as the stream yields it."""
+        return self.index, NetworkEvaluation(
+            dataflow=self.job.dataflow.name, layers=self.job.layers,
+            evaluations=tuple(self.evaluations),
+            costs=self.job.hardware.costs)
 
 
-#: Misses grouped by search problem, keyed by each group's first key
-#: (its *lead*): one search per lead answers every twin in its group.
-_Twins = Dict[CacheKey, List[Tuple[CacheKey, LayerJob]]]
+class _Group:
+    """The misses of one batch that share a search problem.
+
+    Only ``row``, the lead key's search, runs; its answer is re-labelled
+    for each of ``keys`` and each ``(cell, position)`` of ``waiters``.
+    """
+
+    __slots__ = ("row", "keys", "waiters")
+
+    def __init__(self, dataflow: Dataflow, lead: CacheKey) -> None:
+        self.row = dataflow, lead.layer, lead.hardware, lead.objective
+        self.keys: List[CacheKey] = []
+        self.waiters: List[Tuple[_Cell, int]] = []
 
 
-def _twins_by_lead(items: List[Tuple[CacheKey, LayerJob]]) -> _Twins:
-    """Group pending ``(key, job)`` misses by search problem."""
-    groups: Dict[tuple, List[Tuple[CacheKey, LayerJob]]] = {}
-    for key, job in items:
-        groups.setdefault(_search_problem(key), []).append((key, job))
-    return {twins[0][0]: twins for twins in groups.values()}
+def _evaluate_rows(rows) -> List[Tuple[bool, object]]:
+    """``(ok, payload)`` per ``(dataflow, layer, hardware, objective)`` row.
 
-
-def _fan_out(twins: _Twins, lead: CacheKey,
-             value: Optional[LayerEvaluation]
-             ) -> List[Tuple[CacheKey, Optional[LayerEvaluation]]]:
-    """The lead's evaluation, handed to every twin of its group."""
-    return [(key, _for_layer(value, job.layer)) for key, job in twins[lead]]
+    The per-row evaluator of every schedule: pool workers, inline
+    batches and degraded chunks.  A failed row carries its exception
+    instead of a result, so one raising row (a buggy custom objective,
+    say) cannot discard its siblings' work.
+    """
+    entries: List[Tuple[bool, object]] = []
+    for dataflow, layer, hw, objective in rows:
+        try:
+            entries.append(
+                (True, evaluate_layer(dataflow, layer, hw, None, objective)))
+        except Exception as error:  # re-raised by the batch
+            entries.append((False, error))
+    return entries
 
 
 # ----------------------------------------------------------------------
@@ -388,11 +409,8 @@ def _evaluate_chunk(dataflows: Tuple[_DataflowRef, ...],
     ``rows`` hold ``(dataflow_index, layer, hardware_index, objective)``
     tuples indexing into the chunk-level ``dataflows`` / ``hardwares``
     tables, so each distinct dataflow and hardware config crosses the
-    process boundary once per chunk.  Returns ``(ok, payload)`` entries
-    in row order, where a failed row carries its exception instead of a
-    result -- per-row isolation, so one raising job (a buggy custom
-    objective, say) cannot discard its siblings' work the way a shared
-    chunk exception would.
+    process boundary once per chunk.  Returns what
+    :func:`_evaluate_rows` returns for the resolved rows.
 
     ``inject`` is the parent-side fault marker (the dispatching thread
     decides via :func:`repro.faults.fire`, so plans armed only in the
@@ -409,14 +427,8 @@ def _evaluate_chunk(dataflows: Tuple[_DataflowRef, ...],
         time.sleep(faults.CHUNK_SLOW_S)
     resolved = [get_dataflow(ref) if isinstance(ref, str) else ref
                 for ref in dataflows]
-    entries: List[Tuple[bool, object]] = []
-    for df, layer, hw, objective in rows:
-        try:
-            entries.append((True, _evaluate_layer_task(
-                resolved[df], layer, hardwares[hw], objective)))
-        except Exception as error:  # re-raised by the dispatching side
-            entries.append((False, error))
-    return entries
+    return _evaluate_rows((resolved[df], layer, hardwares[hw], objective)
+                          for df, layer, hw, objective in rows)
 
 
 def _with_costs(hw: HardwareConfig,
@@ -518,30 +530,14 @@ class EvaluationEngine:
     def evaluate_networks(self, jobs: Sequence[NetworkJob],
                           parallel: Optional[bool] = None
                           ) -> List[NetworkEvaluation]:
-        """Evaluate a grid of network cells in one deduplicated batch.
+        """Evaluate a grid of network cells; one result per job, in order.
 
-        All cells' layers are flattened into a single
-        :meth:`evaluate_many` call, so the whole grid fans out across
-        the pool at layer granularity and any sub-problem shared
-        between cells (or already cached) is computed at most once.
-        Returns one :class:`~repro.energy.model.NetworkEvaluation` per
-        job, in job order.
+        Collects :meth:`evaluate_networks_stream` back into job order,
+        so any layer shared by cells of one batch (or already cached)
+        is computed at most once.
         """
-        jobs = list(jobs)
-        layer_jobs = [job for cell in jobs for job in cell.layer_jobs]
-        evaluations = self.evaluate_many(layer_jobs, parallel=parallel)
-        results: List[NetworkEvaluation] = []
-        offset = 0
-        for cell in jobs:
-            chunk = evaluations[offset:offset + len(cell.layers)]
-            offset += len(cell.layers)
-            results.append(NetworkEvaluation(
-                dataflow=cell.dataflow.name,
-                layers=cell.layers,
-                evaluations=tuple(chunk),
-                costs=cell.hardware.costs,
-            ))
-        return results
+        done = dict(self.evaluate_networks_stream(jobs, parallel=parallel))
+        return [done[index] for index in range(len(done))]
 
     def evaluate_networks_stream(self, jobs: Iterable[NetworkJob],
                                  parallel: Optional[bool] = None
@@ -550,196 +546,123 @@ class EvaluationEngine:
         """Evaluate a grid of cells, yielding each as soon as it is done.
 
         Yields ``(job_index, NetworkEvaluation)`` pairs -- every job
-        exactly once.  ``jobs`` may be any iterable: on the serial path
-        it is consumed lazily, one cell at a time (never materialized,
-        so a generator of cells costs O(1) memory -- the DSE streaming
-        pipeline depends on this), with cells completing in job order.
-        On the parallel path the jobs are materialized, all unique
-        layer tasks fan out across the pool at once and cells are
-        yielded in *completion* order (fully cached cells first).  The
-        per-cell results are bit-identical to
-        :meth:`evaluate_networks` -- only the delivery schedule differs
-        -- which is what lets :meth:`repro.api.Session.stream` hand
-        callers early rows without waiting on the whole grid.  The
-        stream commits the cache when it ends, whether exhausted,
-        abandoned or failed, so what it computed persists.
+        exactly once.  On a serial call each cell is its own batch:
+        ``jobs`` may be any iterable, consumed lazily one cell at a time
+        (never materialized, so a generator of cells costs O(1) memory
+        -- the DSE streaming pipeline depends on this), with cells
+        completing in job order.  On a parallel call the jobs are
+        materialized as one batch whose searches fan out across the
+        pool at once, and cells are yielded in *completion* order (fully
+        cached cells first).  The per-cell results are bit-identical
+        either way -- only the delivery schedule differs -- which is
+        what lets :meth:`repro.api.Session.stream` hand callers early
+        rows without waiting on the whole grid.  The stream commits the
+        cache when it ends, whether exhausted, abandoned or failed, so
+        what it computed persists.
         """
+        if parallel is None:
+            parallel = self.config.parallel
+        cells = enumerate(jobs)
+        batches = [list(cells)] if parallel else ([cell] for cell in cells)
         try:
-            yield from self._stream(jobs, parallel)
+            for batch in batches:
+                yield from self._batch(batch, parallel)
         finally:
             self.cache.commit()
-
-    def _stream(self, jobs: Iterable[NetworkJob], parallel: Optional[bool]
-                ) -> Iterator[Tuple[int, NetworkEvaluation]]:
-        """The body of :meth:`evaluate_networks_stream`."""
-        enabled = self.config.parallel if parallel is None else parallel
-        if not enabled:
-            yield from self._stream_serial(jobs)
-            return
-        jobs = list(jobs)
-        results: Dict[CacheKey, Optional[LayerEvaluation]] = {}
-        pending: Dict[CacheKey, LayerJob] = {}
-        cell_keys: List[List[CacheKey]] = []
-        for cell in jobs:
-            keys = []
-            for layer_job in cell.layer_jobs:
-                key = layer_job.key
-                keys.append(key)
-                if key in results or key in pending:
-                    continue
-                value = self.cache.get(key)
-                if value is MISSING:
-                    pending[key] = layer_job
-                else:
-                    results[key] = value
-            cell_keys.append(keys)
-
-        def finish(index: int) -> Tuple[int, NetworkEvaluation]:
-            cell = jobs[index]
-            return index, NetworkEvaluation(
-                dataflow=cell.dataflow.name,
-                layers=cell.layers,
-                evaluations=tuple(results[key] for key in cell_keys[index]),
-                costs=cell.hardware.costs,
-            )
-
-        if not self._use_parallel(parallel, len(pending)):
-            searched: Dict[tuple, Optional[LayerEvaluation]] = {}
-            for index in range(len(jobs)):
-                for key in cell_keys[index]:
-                    if key not in results:
-                        value = _search_once(key, pending[key], searched)
-                        self.cache.put(key, value)
-                        results[key] = value
-                yield finish(index)
-            return
-
-        twins = _twins_by_lead(list(pending.items()))
-
-        def cache_chunk(chunk, entries) -> None:
-            # Cache from the dispatcher's completion callback, not the
-            # consumption loop: if the caller abandons the stream early
-            # (the documented use), already-computed results are still
-            # kept -- including a failed row's siblings.  Commit here
-            # too: the last chunk's callback can run after the stream's
-            # own final commit.
-            for (lead, _job), (ok, payload) in zip(chunk, entries):
-                if ok:
-                    for key, value in _fan_out(twins, lead, payload):
-                        self.cache.put(key, value)
-            self.cache.commit()
-
-        key_cells: Dict[CacheKey, List[int]] = {}
-        remaining: List[int] = []
-        for index, keys in enumerate(cell_keys):
-            missing = {key for key in keys if key not in results}
-            remaining.append(len(missing))
-            for key in missing:
-                key_cells.setdefault(key, []).append(index)
-            if not missing:  # answered entirely from the cache
-                yield finish(index)
-        dispatch = self._dispatch_resilient(
-            self._chunked([group[0] for group in twins.values()]),
-            on_result=cache_chunk)
-        for chunk, entries in dispatch:
-            error: Optional[Exception] = None
-            for (lead, _job), (ok, payload) in zip(chunk, entries):
-                if not ok:
-                    error = error or payload
-                    continue
-                for key, value in _fan_out(twins, lead, payload):
-                    results[key] = value
-                    for index in key_cells.get(key, ()):
-                        remaining[index] -= 1
-                        if remaining[index] == 0:
-                            yield finish(index)
-            if error is not None:
-                raise error
-
-    def _stream_serial(self, jobs: Iterable[NetworkJob]
-                       ) -> Iterator[Tuple[int, NetworkEvaluation]]:
-        """The lazy serial path of :meth:`evaluate_networks_stream`.
-
-        Consumes ``jobs`` one cell at a time -- the iterable is never
-        materialized, so a generator of cells (the DSE chunk pipeline)
-        costs O(1) memory here -- and answers every repeated
-        sub-problem through the cache tiers: a layer computed for an
-        earlier cell (or any earlier driver of this engine) is a cache
-        hit, not a re-run.  Same-shape layers share one search within a
-        cell, never across cells.
-        """
-        for index, cell in enumerate(jobs):
-            evaluations = []
-            searched: Dict[tuple, Optional[LayerEvaluation]] = {}
-            for layer_job in cell.layer_jobs:
-                key = layer_job.key
-                value = self.cache.get(key)
-                if value is MISSING:
-                    value = _search_once(key, layer_job, searched)
-                    self.cache.put(key, value)
-                evaluations.append(value)
-            yield index, NetworkEvaluation(
-                dataflow=cell.dataflow.name,
-                layers=cell.layers,
-                evaluations=tuple(evaluations),
-                costs=cell.hardware.costs,
-            )
 
     def evaluate_many(self, jobs: Sequence[LayerJob],
                       parallel: Optional[bool] = None
                       ) -> List[Optional[LayerEvaluation]]:
-        """Evaluate a batch of jobs, deduplicated against the cache.
+        """Evaluate a batch of layer jobs, in job order.
 
-        Returns one result per job, in job order.  Only jobs whose key
-        is neither cached nor duplicated earlier in the batch are
-        computed, and misses that differ only in the layer name share
-        one search; when the parallel path is enabled the searches run
-        on the engine's pool, otherwise inline.  The cache is committed
-        before the call returns or raises.
+        :meth:`evaluate_networks` over one single-layer cell per job, so
+        a job is computed only if its key is neither cached nor asked
+        for earlier in its batch, and misses of a batch that differ only
+        in the layer name share one search.
         """
-        jobs = list(jobs)
-        results: Dict[CacheKey, Optional[LayerEvaluation]] = {}
-        pending: Dict[CacheKey, LayerJob] = {}
-        for job in jobs:
-            key = job.key
-            if key in results or key in pending:
-                continue
-            value = self.cache.get(key)
-            if value is MISSING:
-                pending[key] = job
-            else:
-                results[key] = value
-        if pending:
-            try:
-                for key, value in self._run(list(pending.items()),
-                                            parallel):
-                    self.cache.put(key, value)
-                    results[key] = value
-            finally:
-                self.cache.commit()
-        return [results[job.key] for job in jobs]
+        cells = [NetworkJob(job.dataflow, (job.layer,), job.hardware,
+                            job.objective) for job in jobs]
+        return [network.evaluations[0]
+                for network in self.evaluate_networks(cells, parallel)]
 
     # ------------------------------------------------------------------
 
-    def _use_parallel(self, parallel: Optional[bool], tasks: int) -> bool:
-        enabled = self.config.parallel if parallel is None else parallel
-        return enabled and tasks >= self.config.min_parallel_jobs
+    def _batch(self, cells: List[Tuple[int, NetworkJob]], parallel: bool
+               ) -> Iterator[Tuple[int, NetworkEvaluation]]:
+        """Answer one batch of ``(index, job)`` cells: the engine's loop.
 
-    def _chunked(self, items: List[Tuple[CacheKey, LayerJob]]
-                 ) -> List[List[Tuple[CacheKey, LayerJob]]]:
-        """Split pending items into dispatch batches (see ``chunk_size``)."""
+        Each distinct key is looked up once; misses that share a search
+        problem form one :class:`_Group`, searched once however many
+        cells ask for it.  Fully cached cells are yielded at once, every
+        other cell as soon as the last group it waits on completes.  The
+        first failed row is raised once every chunk is in -- and cached,
+        the failed rows' finished siblings included.
+        """
+        known: Dict[CacheKey, object] = {}  # evaluation, or its _Group
+        groups: Dict[tuple, _Group] = {}
+        misses = 0
+        for index, job in cells:
+            cell = _Cell(index, job)
+            for layer in job.layers:
+                key = CacheKey(job.dataflow.name, layer, job.hardware,
+                               job.objective)
+                value = known.get(key, MISSING)
+                if value is MISSING:
+                    value = self.cache.get(key)
+                    if value is MISSING:
+                        misses += 1
+                        problem = _search_problem(key)
+                        value = groups.get(problem)
+                        if value is None:
+                            value = groups[problem] = _Group(job.dataflow, key)
+                        value.keys.append(key)
+                    known[key] = value
+                if isinstance(value, _Group):
+                    value.waiters.append((cell, len(cell.evaluations)))
+                    cell.waiting += 1
+                cell.evaluations.append(value)
+            if not cell.waiting:
+                yield cell.result()
+        if not groups:
+            return
+
+        def cache_chunk(chunk: List[_Group], entries) -> None:
+            for group, (ok, value) in zip(chunk, entries):
+                if ok:
+                    for key in group.keys:
+                        self.cache.put(key, _for_layer(value, key.layer))
+
+        pooled = parallel and misses >= self.config.min_parallel_jobs
+        error: Optional[Exception] = None
+        for chunk, entries in self._dispatch(list(groups.values()), pooled,
+                                             cache_chunk):
+            for group, (ok, value) in zip(chunk, entries):
+                if not ok:
+                    error = error or value
+                    continue
+                for cell, position in group.waiters:
+                    cell.evaluations[position] = _for_layer(
+                        value, cell.job.layers[position])
+                    cell.waiting -= 1
+                    if not cell.waiting:
+                        yield cell.result()
+        if error is not None:
+            raise error
+
+    def _chunked(self, groups: List[_Group]) -> List[List[_Group]]:
+        """Split groups into dispatch batches (see ``chunk_size``)."""
         size = self.config.chunk_size
         if size is None:
             workers = self.config.max_workers or os.cpu_count() or 1
-            size = max(1, math.ceil(len(items) / (workers * 4)))
-        return [items[i:i + size] for i in range(0, len(items), size)]
+            size = max(1, math.ceil(len(groups) / (workers * 4)))
+        return [groups[i:i + size] for i in range(0, len(groups), size)]
 
-    def _chunk_payload(self, chunk: List[Tuple[CacheKey, LayerJob]]
+    def _chunk_payload(self, chunk: List[_Group]
                        ) -> Tuple[Tuple[_DataflowRef, ...],
                                   Tuple[HardwareConfig, ...],
                                   Tuple[Tuple[int, LayerShape, int, str],
                                         ...]]:
-        """Deduplicate one chunk into the ``_evaluate_chunk`` payload.
+        """Deduplicate one chunk's lead rows into the chunk payload.
 
         Dataflows covered by the pool's registry snapshot travel as bare
         names (the worker already holds the instance); anything else is
@@ -752,19 +675,19 @@ class EvaluationEngine:
         hardwares: List[HardwareConfig] = []
         hw_index: Dict[HardwareConfig, int] = {}
         rows = []
-        for _key, job in chunk:
-            df = job.dataflow
+        for group in chunk:
+            df, layer, hw, objective = group.row
             di = df_index.get(id(df))
             if di is None:
                 di = len(dataflows)
                 df_index[id(df)] = di
                 dataflows.append(self._shared_by_id.get(id(df), df))
-            hi = hw_index.get(job.hardware)
+            hi = hw_index.get(hw)
             if hi is None:
                 hi = len(hardwares)
-                hw_index[job.hardware] = hi
-                hardwares.append(job.hardware)
-            rows.append((di, job.layer, hi, job.objective))
+                hw_index[hw] = hi
+                hardwares.append(hw)
+            rows.append((di, layer, hi, objective))
         return tuple(dataflows), tuple(hardwares), tuple(rows)
 
     def _inject_marker(self) -> Optional[str]:
@@ -783,38 +706,31 @@ class EvaluationEngine:
             return "chunk_slow"
         return None
 
-    def _dispatch_resilient(self, chunks, on_result=None):
-        """Dispatch chunks to the pool, surviving worker death.
+    def _dispatch(self, groups: List[_Group], pooled: bool, on_result):
+        """Search each group's lead; yield ``(chunk, entries)`` pairs.
 
-        Yields ``(chunk, entries)`` pairs -- every chunk exactly once,
-        in completion order.  A broken pool (a worker died: OOM kill,
-        segfault, injected ``pool.worker_crash``) fails *every*
+        Unpooled, the groups run inline as one chunk; pooled, in chunks
+        yielded in completion order.  A broken pool (a worker died: OOM
+        kill, segfault, injected ``pool.worker_crash``) fails *every*
         in-flight future, so the round's unfinished chunks are
         collected, the pool is rebuilt, and only they are re-dispatched
         after a capped jittered backoff -- results stay bit-identical
         because every chunk is a deterministic pure function of its
-        payload.  After ``config.max_pool_retries`` rebuilds the
-        remaining chunks degrade to inline serial execution instead of
-        failing the batch (the parallel -> serial end of the
-        degradation chain).  ``on_result(chunk, entries)`` -- used by
-        the streaming path to cache results even when its consumer
-        abandons the stream -- runs from the future's done-callback on
-        the pool path and inline on the degraded path.
+        payload.  After ``config.max_pool_retries`` rebuilds the rest
+        degrade to inline execution instead of failing the batch.
+        ``on_result(chunk, entries)`` runs before a chunk is yielded:
+        inline, directly; on the pool, from the future's done-callback,
+        which then commits -- so an abandoned stream keeps it too.
         """
-        pending = list(chunks)
+        pending = self._chunked(groups) if pooled else [groups]
         rebuilds = 0
-        while pending:
+        while pooled and pending:
             if rebuilds > self.config.max_pool_retries:
                 faults.record("serial_degradations")
                 logger.warning(
                     "engine: pool failed %d times; degrading %d chunk(s) "
                     "to inline serial execution", rebuilds, len(pending))
-                for chunk in pending:
-                    entries = _evaluate_chunk(*self._chunk_payload(chunk))
-                    if on_result is not None:
-                        on_result(chunk, entries)
-                    yield chunk, entries
-                return
+                break
             if rebuilds:
                 faults.record("pool_rebuilds")
                 faults.record("chunk_retries", len(pending))
@@ -825,8 +741,9 @@ class EvaluationEngine:
                 self.close()
                 faults.sleep_backoff(rebuilds)
             pool = self._executor()
-            futures = {}
-            failed: List = []
+            finished: queue.SimpleQueue = queue.SimpleQueue()
+            failed: List[List[_Group]] = []
+            submitted = 0
             for chunk in pending:
                 try:
                     future = pool.submit(
@@ -835,14 +752,19 @@ class EvaluationEngine:
                 except BrokenExecutor:
                     failed.append(chunk)
                     continue
-                if on_result is not None:
-                    def done(f, chunk=chunk):
-                        if not f.cancelled() and f.exception() is None:
-                            on_result(chunk, f.result())
-                    future.add_done_callback(done)
-                futures[future] = chunk
-            for future in as_completed(futures):
-                chunk = futures[future]
+
+                def done(future, chunk=chunk):
+                    try:
+                        if (not future.cancelled()
+                                and future.exception() is None):
+                            on_result(chunk, future.result())
+                            self.cache.commit()
+                    finally:
+                        finished.put((chunk, future))
+                future.add_done_callback(done)
+                submitted += 1
+            for _ in range(submitted):
+                chunk, future = finished.get()
                 try:
                     entries = future.result()
                 except BrokenExecutor:
@@ -850,35 +772,11 @@ class EvaluationEngine:
                     continue
                 yield chunk, entries
             pending = failed
-            if pending:
-                rebuilds += 1
-
-    def _run(self, items: List[Tuple[CacheKey, LayerJob]],
-             parallel: Optional[bool]
-             ) -> List[Tuple[CacheKey, Optional[LayerEvaluation]]]:
-        """A ``(key, evaluation)`` pair per item; one search per problem."""
-        if not self._use_parallel(parallel, len(items)):
-            searched: Dict[tuple, Optional[LayerEvaluation]] = {}
-            return [(key, _search_once(key, job, searched))
-                    for key, job in items]
-        twins = _twins_by_lead(items)
-        leads = [group[0] for group in twins.values()]
-        results: List[Tuple[CacheKey, Optional[LayerEvaluation]]] = []
-        error: Optional[Exception] = None
-        for chunk, entries in self._dispatch_resilient(self._chunked(leads)):
-            for (lead, _job), (ok, payload) in zip(chunk, entries):
-                if ok:
-                    results.extend(_fan_out(twins, lead, payload))
-                elif error is None:
-                    error = payload
-        if error is not None:
-            # Keep the siblings' completed work before propagating: a
-            # retry after the caller fixes its objective answers them
-            # from the cache instead of recomputing.
-            for key, value in results:
-                self.cache.put(key, value)
-            raise error
-        return results
+            rebuilds += 1
+        for chunk in pending:
+            entries = _evaluate_rows(group.row for group in chunk)
+            on_result(chunk, entries)
+            yield chunk, entries
 
 
 # ----------------------------------------------------------------------

@@ -3,9 +3,9 @@
 The dispatcher is the service's wire adapter over the unified facade:
 each :class:`~repro.service.schema.BatchRequest` is translated into a
 :class:`repro.api.Scenario`, answered through a
-:class:`repro.api.Session` (one deduplicated engine batch, so a grid of
-G cells over L layers fans out as at most G x L layer evaluations,
-minus everything the cache already covers), and the resulting
+:class:`repro.api.Session` (one engine call, so a grid of G cells over
+L layers fans out as at most G x L layer evaluations, minus everything
+the cache already covers), and the resulting
 :class:`repro.api.ResultSet` rows are folded back into the service's
 JSON schema.  Per-request cache traffic is measured as a stats delta
 and reported in the :class:`BatchResult`.

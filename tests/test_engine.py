@@ -181,6 +181,37 @@ class TestEngineParity:
         finally:
             objective_registry.remove("test-poisoned")
 
+    @pytest.mark.parametrize("config", [
+        EngineConfig(parallel=False),
+        EngineConfig(parallel=True, executor="thread", max_workers=2,
+                     min_parallel_jobs=10 ** 6),
+        EngineConfig(parallel=True, executor="thread", max_workers=2),
+    ], ids=["serial", "below-threshold", "thread-pool"])
+    def test_failed_row_keeps_siblings_on_every_schedule(self, config):
+        """A raising row never discards its siblings' finished work.
+
+        The serial path, a parallel batch too small for the pool (it
+        runs inline) and the thread pool all evaluate rows through the
+        same per-row evaluator, so the five CONV layers, which score
+        fine, are cached before the FC rows' error propagates.
+        """
+        from repro.registry import objective_registry
+
+        objective_registry.add("test-poisoned", _poisoned_objective)
+        try:
+            with EvaluationEngine(config, EvaluationCache()) as engine:
+                with pytest.raises(RuntimeError, match="poisoned"):
+                    engine.evaluate_network(
+                        DATAFLOWS["RS"], LAYERS, hw_for("RS"),
+                        objective="test-poisoned")
+                conv_keys = [LayerJob(DATAFLOWS["RS"], layer, hw_for("RS"),
+                                      "test-poisoned").key
+                             for layer in LAYERS if layer.E > 1]
+                assert len(conv_keys) == 5
+                assert all(key in engine.cache for key in conv_keys)
+        finally:
+            objective_registry.remove("test-poisoned")
+
     def test_cached_path_identical(self, seed_results):
         engine = serial_engine()
         first = engine.evaluate_network(DATAFLOWS["RS"], LAYERS, hw_for("RS"))
@@ -442,6 +473,24 @@ class TestEvaluateMany:
         first, second = engine.evaluate_networks([job, job])
         assert first == second
         assert engine.cache.stats.misses == 2  # one per distinct layer
+
+    def test_serial_stream_pulls_jobs_lazily(self):
+        """A serial stream takes one cell from its input per row."""
+        handed_out = []
+
+        def cells():
+            for index in range(6):
+                handed_out.append(index)
+                yield NetworkJob(DATAFLOWS["RS"], (LAYERS[index % 2],),
+                                 hw_for("RS"))
+
+        stream = serial_engine().evaluate_networks_stream(cells())
+        for taken in range(1, 6):
+            index, _evaluation = next(stream)
+            assert index == taken - 1
+            assert len(handed_out) == taken
+        stream.close()
+        assert len(handed_out) == 5
 
     def test_network_job_rejects_empty_layers(self):
         with pytest.raises(ValueError, match="at least one layer"):

@@ -416,6 +416,29 @@ class TestServeHardening:
                  if k not in ("elapsed_s", "cache")}
         assert final == plain
 
+    @pytest.mark.parametrize("parallel", [False, True],
+                             ids=["serial", "thread"])
+    def test_evaluate_verb_reports_the_batch_verbs_cache_delta(self,
+                                                               parallel):
+        """The streamed verb's final result is the batch verb's answer.
+
+        Cache delta included: a grid that repeats a cell (``RS`` and
+        ``rs``) must count the same lookups whichever verb serves it.
+        """
+        spec = tiny_request(dataflows=["RS", "rs"]).to_dict()
+        config = EngineConfig(parallel=parallel, executor="thread",
+                              max_workers=2)
+        finals = {}
+        for verb in ("batch", "evaluate"):
+            with EvaluationEngine(config, EvaluationCache()) as engine:
+                _, responses = self.run_serve(
+                    [json.dumps(dict(spec, verb=verb))], engine=engine)
+            finals[verb] = {k: v for k, v in responses[-1].items()
+                            if k not in ("elapsed_s", "event", "verb")}
+        assert finals["evaluate"] == finals["batch"]
+        assert finals["batch"]["cache"]["misses"] == len(
+            alexnet_conv_layers(1))
+
     def test_metrics_verb_answers_a_snapshot(self):
         served, responses = self.run_serve(
             [json.dumps(tiny_request().to_dict()),
