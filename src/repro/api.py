@@ -68,7 +68,7 @@ from repro.nn.layer import LayerShape
 from repro.registry import (
     dataflow_registry,
     get_dataflow,
-    get_network,
+    network_layers,
     network_registry,
     objective_registry,
 )
@@ -221,9 +221,14 @@ class Scenario:
                 else CUSTOM_WORKLOAD)
 
     def layers_for(self, batch: int) -> Tuple[LayerShape, ...]:
-        """The layer list one cell evaluates at a given batch size."""
+        """The layer list one cell evaluates at a given batch size.
+
+        A registered workload's list is built once per (builder, batch)
+        and shared by every cell that asks (see
+        :func:`repro.registry.network_layers`).
+        """
         if isinstance(self.workload, str):
-            return tuple(get_network(self.workload)(batch))
+            return network_layers(self.workload, batch)
         return self.workload
 
     def _hardware_points(self, dataflow: str
@@ -320,15 +325,7 @@ class Result:
             objective=cell.objective, evaluation=evaluation)
         if not evaluation.feasible:
             return cls(feasible=False, **common)
-        return cls(
-            feasible=True,
-            energy_per_op=evaluation.energy_per_op,
-            delay_per_op=evaluation.delay_per_op,
-            edp_per_op=evaluation.edp_per_op,
-            dram_reads_per_op=evaluation.dram_reads_per_op,
-            dram_writes_per_op=evaluation.dram_writes_per_op,
-            dram_accesses_per_op=evaluation.dram_accesses_per_op,
-            **common)
+        return cls(feasible=True, **evaluation.metrics(), **common)
 
     def to_dict(self) -> Dict:
         """A JSON-safe dict: metrics are included only when feasible."""

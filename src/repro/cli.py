@@ -541,12 +541,16 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         session = Session(**store_options)
     if session is not None:
         kwargs["session"] = session
+        before = session.cache_stats
     try:
         points = fig15_area_allocation_sweep(args.pes, batch=args.batch,
                                              **kwargs)
     finally:
         if session is not None:
             session.close()
+    if session is not None:
+        stats = session.cache_stats.since(before)
+        print(f"cache: {_cache_summary(stats)}", file=sys.stderr)
     if not points:
         print("no feasible sweep point for the requested grid "
               f"(PEs: {', '.join(map(str, args.pes))})", file=sys.stderr)

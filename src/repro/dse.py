@@ -112,7 +112,7 @@ from repro.nn.layer import LayerShape
 from repro.registry import (
     dataflow_registry,
     get_dataflow,
-    get_network,
+    network_layers,
     network_registry,
     objective_registry,
     register_design_space,
@@ -411,7 +411,7 @@ class DesignSpace:
     def layers(self) -> Tuple[LayerShape, ...]:
         """The layer list every candidate evaluates (at ``batch``)."""
         if isinstance(self.workload, str):
-            return tuple(get_network(self.workload)(self.batch))
+            return network_layers(self.workload, self.batch)
         return self.workload
 
     def geometries(self) -> Tuple[Tuple[int, int], ...]:
@@ -693,15 +693,7 @@ class DseCandidate:
             index=index, evaluation=evaluation)
         if not evaluation.feasible:
             return cls(feasible=False, **common)
-        return cls(
-            feasible=True,
-            energy_per_op=evaluation.energy_per_op,
-            delay_per_op=evaluation.delay_per_op,
-            edp_per_op=evaluation.edp_per_op,
-            dram_reads_per_op=evaluation.dram_reads_per_op,
-            dram_writes_per_op=evaluation.dram_writes_per_op,
-            dram_accesses_per_op=evaluation.dram_accesses_per_op,
-            **common)
+        return cls(feasible=True, **evaluation.metrics(), **common)
 
     def to_dict(self) -> Dict:
         """A JSON-safe dict; metric columns only when feasible."""

@@ -23,7 +23,7 @@ aggregate of exactly those per-layer delays.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, Optional, Sequence
 
 from repro.arch.energy_costs import EnergyCosts
 from repro.arch.hardware import HardwareConfig
@@ -110,41 +110,79 @@ class NetworkEvaluation:
             total = total + ev.breakdown
         return total
 
+    def metrics(self) -> Dict[str, float]:
+        """The six per-MAC metrics of a result row, from one pass.
+
+        Each sum keeps its defining order, so every value is
+        bit-identical to folding that metric on its own: the energy is
+        ``breakdown.total`` (a left fold of the layers' breakdowns,
+        level by level), DRAM reads and writes are ``sum()``s from 0,
+        the delay is :func:`repro.energy.edp.aggregate_delay_per_op`,
+        EDP is energy x delay and accesses are reads + writes.  The six
+        metric properties read this pass.  Computed on every call, not
+        cached on the evaluation: a cached copy would keep six more
+        floats alive per evaluated cell.
+        """
+        self._require_feasible()
+        first = self.evaluations[0].breakdown.by_level
+        alu, dram, buffer, array, rf = (first.alu, first.dram, first.buffer,
+                                        first.array, first.rf)
+        reads = writes = 0
+        mappings = []
+        for index, ev in enumerate(self.evaluations):
+            if index:
+                level = ev.breakdown.by_level
+                alu += level.alu
+                dram += level.dram
+                buffer += level.buffer
+                array += level.array
+                rf += level.rf
+            mapping = ev.mapping
+            reads += mapping.dram_reads
+            writes += mapping.dram_writes
+            mappings.append(mapping)
+        macs = self.total_macs
+        energy = (alu + dram + buffer + array + rf) / macs
+        delay = edp_model.aggregate_delay_per_op(mappings)
+        reads_per_op, writes_per_op = reads / macs, writes / macs
+        return {
+            "energy_per_op": energy,
+            "delay_per_op": delay,
+            "edp_per_op": energy * delay,
+            "dram_reads_per_op": reads_per_op,
+            "dram_writes_per_op": writes_per_op,
+            "dram_accesses_per_op": reads_per_op + writes_per_op,
+        }
+
     @property
     def energy_per_op(self) -> float:
         """Normalized energy per MAC, aggregated over all layers."""
-        return self.breakdown.total / self.total_macs
+        return self.metrics()["energy_per_op"]
 
     @property
     def dram_reads_per_op(self) -> float:
         """DRAM read words per MAC, aggregated over all layers."""
-        self._require_feasible()
-        reads = sum(ev.mapping.dram_reads for ev in self.evaluations)
-        return reads / self.total_macs
+        return self.metrics()["dram_reads_per_op"]
 
     @property
     def dram_writes_per_op(self) -> float:
         """DRAM write words per MAC, aggregated over all layers."""
-        self._require_feasible()
-        writes = sum(ev.mapping.dram_writes for ev in self.evaluations)
-        return writes / self.total_macs
+        return self.metrics()["dram_writes_per_op"]
 
     @property
     def dram_accesses_per_op(self) -> float:
         """Combined DRAM reads + writes per MAC."""
-        return self.dram_reads_per_op + self.dram_writes_per_op
+        return self.metrics()["dram_accesses_per_op"]
 
     @property
     def delay_per_op(self) -> float:
         """MAC-weighted delay per op (see :mod:`repro.energy.edp`)."""
-        self._require_feasible()
-        return edp_model.aggregate_delay_per_op(
-            [ev.mapping for ev in self.evaluations])
+        return self.metrics()["delay_per_op"]
 
     @property
     def edp_per_op(self) -> float:
         """Network-level energy-delay product per MAC."""
-        return self.energy_per_op * self.delay_per_op
+        return self.metrics()["edp_per_op"]
 
 
 def evaluate_layer(dataflow: Dataflow, layer: LayerShape,

@@ -82,12 +82,34 @@ def default_max_entries() -> int:
 
 @dataclass(frozen=True)
 class CacheKey:
-    """Identity of one layer-evaluation problem."""
+    """Identity of one layer-evaluation problem.
+
+    The hash is computed once, when the key is built: a warm lookup
+    hashes its key several times (the batch's seen-keys dict, the LRU
+    probe, its admission), and each hash would otherwise walk the layer,
+    hardware and cost-table fields again.  A pickled key is rebuilt
+    through ``__init__``, so it re-derives its hash in the loading
+    process -- a ``str`` hash differs between processes.  Slots keep a
+    key, hash included, no larger than a dict-backed key without one.
+    """
+
+    __slots__ = ("dataflow", "layer", "hardware", "objective", "_hash")
 
     dataflow: str
     layer: LayerShape
     hardware: HardwareConfig
     objective: str
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash(
+            (self.dataflow, self.layer, self.hardware, self.objective)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return CacheKey, (self.dataflow, self.layer, self.hardware,
+                          self.objective)
 
 
 @dataclass(frozen=True)

@@ -110,15 +110,17 @@ class LayerShape:
                     f"(got H={self.H}, R={self.R}, E={self.E}, U={self.U})"
                 )
 
-    def __getattr__(self, name: str) -> int:
-        # Compatibility shim for instances that predate the groups /
-        # dilation fields (e.g. unpickled from an old persistent-cache
-        # snapshot or store blob): they lack the attributes entirely, so
-        # fall back to the paper's implicit defaults.
-        if name in ("groups", "dilation"):
-            return 1
-        raise AttributeError(
-            f"{type(self).__name__!r} object has no attribute {name!r}")
+    def __setstate__(self, state: dict) -> None:
+        # Shapes pickled before the groups / dilation fields existed (an
+        # old persistent-cache snapshot or store blob) lack both; they
+        # load as the paper's implicit dense, undilated defaults.  Set
+        # item by item: ``dict.update`` from the pickled dict would copy
+        # its table and give every unpickled shape a larger dict.
+        attributes = self.__dict__
+        for name, value in state.items():
+            attributes[name] = value
+        attributes.setdefault("groups", 1)
+        attributes.setdefault("dilation", 1)
 
     # ------------------------------------------------------------------
     # Derived counts used throughout the energy analysis.

@@ -33,6 +33,7 @@ of import cycles.
 
 from __future__ import annotations
 
+import functools
 import importlib
 import threading
 from typing import Callable, Dict, Iterator, List, Mapping, Optional, TypeVar
@@ -289,6 +290,28 @@ def register_design_space(name: Optional[str] = None, *,
 def get_network(name: str) -> Callable:
     """The workload builder registered under ``name`` (case-insensitive)."""
     return network_registry.get(name)
+
+
+@functools.lru_cache(maxsize=32)
+def _built_layers(builder: Callable, batch: int) -> tuple:
+    """One builder's layer tuple at one batch size, built once.
+
+    Keyed on the builder object, not its name, so a name re-registered
+    with ``replace=True`` is served by its new builder.  Holding the
+    tuple is safe because layer shapes are frozen; builders must be pure
+    functions of the batch size, as every registered workload is.
+    """
+    return tuple(builder(batch))
+
+
+def network_layers(name: str, batch: int) -> tuple:
+    """The layers of the workload registered under ``name`` at ``batch``.
+
+    Built once per (builder, batch) in a small bounded memo: building
+    VGG16 validates each of its layers twice (~300 us), which a grid of
+    single-cell scenarios would otherwise pay for every cell.
+    """
+    return _built_layers(get_network(name), batch)
 
 
 def get_dataflow(name: str):

@@ -34,7 +34,7 @@ from repro.engine.cache import CacheStats
 from repro.nn.layer import LayerShape, LayerType
 from repro.registry import (
     get_design_space,
-    get_network,
+    network_layers,
     network_registry,
     objective_registry,
 )
@@ -168,7 +168,7 @@ class BatchRequest:
         """The layer list the request evaluates (network or explicit)."""
         if self.layers is not None:
             return self.layers
-        return tuple(get_network(self.network)(self.batch))
+        return network_layers(self.network, self.batch)
 
     @classmethod
     def from_dict(cls, data: Dict, default_id: str = "req") -> "BatchRequest":

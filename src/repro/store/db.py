@@ -48,6 +48,7 @@ import sqlite3
 import subprocess
 import threading
 import time
+import weakref
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import (
@@ -455,6 +456,9 @@ class ExperimentStore:
         self._closed = False
         self._readers: List[sqlite3.Connection] = []
         self._readers_lock = threading.Lock()
+        #: (weak reference, fingerprint) of the hardware point
+        #: :meth:`get_evaluation` last looked up: a cell's keys share one.
+        self._last_hardware: Optional[Tuple[weakref.ref, str]] = None
         self._writer: Optional[sqlite3.Connection] = None
         try:
             self._writer = self._connect()
@@ -742,6 +746,19 @@ class ExperimentStore:
           AND l.dilation=?
     """
 
+    def _fingerprint(self, hw: HardwareConfig) -> str:
+        """:func:`hardware_fingerprint`, reused while the point repeats.
+
+        One entry, swapped whole, so threads need no lock; the weak
+        reference keeps no hardware point alive.
+        """
+        last = self._last_hardware
+        if last is not None and last[0]() is hw:
+            return last[1]
+        fingerprint = hardware_fingerprint(hw)
+        self._last_hardware = (weakref.ref(hw), fingerprint)
+        return fingerprint
+
     def get_evaluation(self, key: CacheKey):
         """The recorded evaluation under an engine cache key.
 
@@ -754,7 +771,7 @@ class ExperimentStore:
         layer = key.layer
         row = self._reader().execute(self._EVAL_LOOKUP, (
             key.dataflow, key.objective,
-            hardware_fingerprint(key.hardware),
+            self._fingerprint(key.hardware),
             layer.name, layer.layer_type.value, layer.H, layer.R,
             layer.E, layer.C, layer.M, layer.U, layer.N, layer.groups,
             layer.dilation)).fetchone()

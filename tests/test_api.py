@@ -524,6 +524,46 @@ class TestRegistries:
                 session.evaluate(scenario("edp"))
             assert session.cache.stats.hits == 3  # one per FC layer
 
+    def test_reregistered_network_serves_its_new_builder(self):
+        """The layer memo keys on the builder, so replace=True takes."""
+        def scenario():
+            return Scenario(workload="memo-swap-test", dataflows=("RS",),
+                            batches=(2,), pe_counts=(64,))
+
+        register_network("memo-swap-test")(lambda batch_size=1: [
+            conv_layer("OLD", H=8, R=3, E=6, C=2, M=4, N=batch_size)])
+        try:
+            assert scenario().cells()[0].layers[0].name == "OLD"
+            register_network("memo-swap-test", replace=True)(
+                lambda batch_size=1: [conv_layer(
+                    "NEW", H=10, R=3, E=8, C=2, M=4, N=batch_size)])
+            (layer,) = scenario().cells()[0].layers
+            assert (layer.name, layer.H, layer.N) == ("NEW", 10, 2)
+        finally:
+            network_registry.remove("memo-swap-test")
+
+    def test_builder_runs_once_per_name_and_batch(self):
+        calls = []
+
+        @register_network("memo-count-test")
+        def counted(batch_size: int = 1):
+            calls.append(batch_size)
+            return [conv_layer("C1", H=8, R=3, E=6, C=2, M=4,
+                               N=batch_size)]
+
+        try:
+            cells = [cell for index in range(100)
+                     for cell in Scenario(
+                         workload="memo-count-test",
+                         dataflows=(list(DATAFLOWS)[index % 6],),
+                         batches=(1 + index % 3,),
+                         pe_counts=(64,)).cells()]
+            assert len(cells) == 100
+            assert sorted(calls) == [1, 2, 3]
+            assert all(cell.layers[0].N == cell.batch for cell in cells)
+        finally:
+            network_registry.remove("memo-count-test")
+
     def test_duplicate_registration_refused_without_replace(self):
         with pytest.raises(ValueError, match="already registered"):
             register_network("alexnet")(lambda batch_size=1: [])

@@ -9,7 +9,12 @@ clear :class:`CacheFormatError` instead of arbitrary downstream
 exceptions.
 """
 
+import os
 import pickle
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -156,6 +161,55 @@ class TestPersistence:
         path = tmp_path / "legacy.pkl"
         path.write_bytes(pickle.dumps({key(0): None}))
         assert len(EvaluationCache.load(path)) == 1
+
+
+#: Run in two interpreters with different string-hash seeds: the first
+#: pickles a key and writes a snapshot holding it, the second builds the
+#: same key afresh and must find both equal -- in value and in hash.
+_CROSS_PROCESS = textwrap.dedent("""
+    import pickle, sys
+    from repro.arch.hardware import HardwareConfig
+    from repro.dataflows.registry import DATAFLOWS
+    from repro.energy.model import evaluate_layer
+    from repro.engine import CacheKey, EvaluationCache
+    from repro.nn.networks import alexnet_conv_layers
+
+    step, key_file, snapshot = sys.argv[1:]
+    layer, hw = alexnet_conv_layers(1)[2], HardwareConfig.equal_area(256, 512)
+    fresh = CacheKey("RS", layer, hw, "energy")
+    evaluation = evaluate_layer(DATAFLOWS["RS"], layer, hw)
+    if step == "write":
+        with open(key_file, "wb") as handle:
+            pickle.dump(fresh, handle)
+        cache = EvaluationCache()
+        cache.put(fresh, evaluation)
+        cache.save(snapshot)
+    else:
+        with open(key_file, "rb") as handle:
+            loaded = pickle.load(handle)
+        assert loaded == fresh and hash(loaded) == hash(fresh)
+        assert {loaded: 1}.get(fresh) == 1
+        cache = EvaluationCache.load(snapshot)
+        assert cache.get(fresh) == evaluation
+        assert cache.stats.hits == 1
+    print(step, hash(fresh))
+""")
+
+
+class TestKeyHash:
+    def test_key_and_snapshot_survive_a_new_hash_seed(self, tmp_path):
+        src = Path(__file__).resolve().parent.parent / "src"
+        paths = [str(tmp_path / "key.pickle"), str(tmp_path / "cache.pkl")]
+        hashes = []
+        for step, seed in (("write", "1"), ("read", "2")):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=str(src))
+            proc = subprocess.run(
+                [sys.executable, "-c", _CROSS_PROCESS, step, *paths],
+                env=env, capture_output=True, text=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            hashes.append(proc.stdout.split()[-1])
+        # The seeds really differ: the same key hashes differently.
+        assert hashes[0] != hashes[1]
 
 
 class TestLoadValidation:

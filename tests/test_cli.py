@@ -388,6 +388,18 @@ class TestCliStore:
         runs_out = capsys.readouterr().out
         assert "cold" in runs_out and "warm" in runs_out
 
+    def test_sweep_store_warm_rerun_reports_store_hits(self, tmp_path,
+                                                       capsys):
+        args = self.SWEEP + ["--store", str(tmp_path / "store.db"),
+                             "--record"]
+        assert main(args) == 0
+        cold = cache_traffic(capsys.readouterr().err)
+        assert main(args) == 0
+        warm = cache_traffic(capsys.readouterr().err)
+        assert cold["misses"] == cold["lookups"] > 0
+        assert warm == {"lru": 0, "store": cold["misses"], "misses": 0,
+                        "lookups": cold["lookups"]}
+
     def test_diff_head_head_is_bit_identical(self, tmp_path, capsys):
         db = str(tmp_path / "store.db")
         self.recorded_sweep(db, capsys)

@@ -1,10 +1,13 @@
 """Tests for the energy model: breakdowns, EDP, network aggregation."""
 
+import re
+
 import pytest
 
+from repro.api import METRICS, Scenario, Session
 from repro.arch.energy_costs import EnergyCosts
 from repro.arch.hardware import HardwareConfig
-from repro.dataflows.registry import DATAFLOWS
+from repro.dataflows.registry import DATAFLOWS, equal_area_hardware
 from repro.energy.breakdown import (
     EnergyBreakdown,
     LevelBreakdown,
@@ -17,7 +20,12 @@ from repro.energy.edp import (
     delay_per_op,
     edp_per_op,
 )
-from repro.energy.model import evaluate_layer, evaluate_network
+from repro.dse import DesignPoint, DesignSpace, DseCandidate
+from repro.energy.model import (
+    NetworkEvaluation,
+    evaluate_layer,
+    evaluate_network,
+)
 from repro.mapping.optimizer import optimize_mapping
 from repro.nn.layer import conv_layer
 from repro.nn.networks import alexnet_conv_layers
@@ -131,8 +139,15 @@ class TestEvaluate:
         hw = HardwareConfig.equal_area(256, DATAFLOWS["WS"].rf_bytes_per_pe)
         ev = evaluate_network(DATAFLOWS["WS"], alexnet_conv_layers(64), hw)
         assert not ev.feasible
-        with pytest.raises(RuntimeError, match="no feasible mapping"):
-            _ = ev.energy_per_op
+        missing = ", ".join(layer.name for layer, e
+                            in zip(ev.layers, ev.evaluations) if e is None)
+        message = re.escape(f"WS has no feasible mapping for: {missing} "
+                            f"(cannot aggregate)")
+        with pytest.raises(RuntimeError, match=message):
+            ev.metrics()
+        for name in METRICS + ("breakdown",):
+            with pytest.raises(RuntimeError, match=message):
+                getattr(ev, name)
 
     def test_empty_network_rejected(self):
         hw = HardwareConfig.eyeriss_paper_baseline(256)
@@ -186,3 +201,94 @@ class TestEdpConsistency:
         assert net.edp_per_op == net.energy_per_op * net.delay_per_op
         assert net.delay_per_op == aggregate_delay_per_op(
             [ev.mapping for ev in net.evaluations])
+
+
+def reference_metrics(network: NetworkEvaluation) -> dict:
+    """The six row metrics, each folded on its own as the model defines it.
+
+    A left fold of ``EnergyBreakdown.__add__``, ``sum()`` from 0, the
+    shared delay model, ``edp = energy x delay`` and ``accesses = reads +
+    writes``: the reference the one-pass ``metrics()`` must equal bit for
+    bit (``pytest.approx`` would hide a reordered sum).
+    """
+    evaluations = network.evaluations
+    breakdown = evaluations[0].breakdown
+    for ev in evaluations[1:]:
+        breakdown = breakdown + ev.breakdown
+    macs = sum(layer.macs for layer in network.layers)
+    energy = breakdown.total / macs
+    delay = aggregate_delay_per_op([ev.mapping for ev in evaluations])
+    reads = sum(ev.mapping.dram_reads for ev in evaluations) / macs
+    writes = sum(ev.mapping.dram_writes for ev in evaluations) / macs
+    return {"energy_per_op": energy, "delay_per_op": delay,
+            "edp_per_op": energy * delay, "dram_reads_per_op": reads,
+            "dram_writes_per_op": writes,
+            "dram_accesses_per_op": reads + writes}
+
+
+class TestOnePassMetrics:
+    """Rows read their six metrics from one pass over the layers."""
+
+    NETWORKS = ("alexnet", "vgg16", "resnet18", "mobilenet")
+
+    @pytest.fixture(scope="class")
+    def rows(self):
+        with Session(parallel=False) as session:
+            return {network: session.evaluate(Scenario(
+                        workload=network, batches=(1,), pe_counts=(256,))).rows
+                    for network in self.NETWORKS}
+
+    @pytest.mark.parametrize("network", NETWORKS)
+    def test_result_metrics_equal_the_folds(self, rows, network):
+        assert {row.dataflow for row in rows[network]} == set(DATAFLOWS)
+        for row in rows[network]:
+            assert row.feasible, row.dataflow
+            expected = reference_metrics(row.evaluation)
+            assert row.evaluation.metrics() == expected, row.dataflow
+            for name in METRICS:
+                assert getattr(row, name) == expected[name], (
+                    row.dataflow, name)
+                assert getattr(row.evaluation, name) == expected[name], (
+                    row.dataflow, name)
+
+    def test_order_sensitive_costs_stay_bit_identical(self):
+        """Table IV's integer costs make most per-layer energies whole
+        numbers, which any summation order adds exactly; with these
+        costs a reversed fold differs, so a reordered sum would show."""
+        costs = EnergyCosts(dram=200.3, buffer=6.1, array=2.07, rf=1.013,
+                            alu=0.97)
+        reordered = 0
+        with Session(parallel=False) as session:
+            for dataflow in DATAFLOWS:
+                hw = equal_area_hardware(dataflow, 256).with_costs(costs)
+                for network in ("alexnet", "vgg16"):
+                    (row,) = session.evaluate(Scenario(
+                        workload=network, dataflows=(dataflow,),
+                        batches=(1,), hardware=(hw,))).rows
+                    expected = reference_metrics(row.evaluation)
+                    for name in METRICS:
+                        assert getattr(row, name) == expected[name], (
+                            dataflow, network, name)
+                    backwards = reference_metrics(NetworkEvaluation(
+                        dataflow, row.evaluation.layers[::-1],
+                        row.evaluation.evaluations[::-1], costs))
+                    reordered += backwards != expected
+        assert reordered
+
+    @pytest.mark.parametrize("network", NETWORKS)
+    def test_one_layer_candidates_equal_the_folds(self, rows, network):
+        space = DesignSpace(workload=network, batch=1, pe_counts=(256,))
+        for row in rows[network]:
+            point = DesignPoint(array_h=16, array_w=16,
+                                rf_bytes_per_pe=row.rf_bytes_per_pe,
+                                buffer_bytes=0)
+            for layer, ev in zip(row.evaluation.layers,
+                                 row.evaluation.evaluations):
+                single = NetworkEvaluation(row.dataflow, (layer,), (ev,),
+                                           row.evaluation.costs)
+                candidate = DseCandidate.from_evaluation(
+                    space, row.dataflow, point, single)
+                expected = reference_metrics(single)
+                for name in METRICS:
+                    assert getattr(candidate, name) == expected[name], (
+                        row.dataflow, layer.name, name)

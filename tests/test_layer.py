@@ -1,5 +1,7 @@
 """Unit tests for the layer-shape substrate (Table I semantics)."""
 
+import pickle
+
 import pytest
 
 from repro.nn.layer import LayerShape, LayerType, conv_layer, fc_layer, pool_layer
@@ -188,10 +190,9 @@ class TestGroupsAndDilation:
         assert "G=" not in plain and "D=" not in plain
 
     def test_legacy_state_without_extensions_reads_dense(self):
-        """Pickles from before groups/dilation existed restore via
-        ``__dict__`` without the new attributes; the ``__getattr__``
-        shim must report the dense defaults (and still raise for
-        genuinely unknown names)."""
+        """An instance whose ``__dict__`` lacks groups/dilation reads the
+        dense defaults (the dataclass's class-level field defaults), and
+        genuinely unknown names still raise."""
         modern = conv_layer("c", H=15, R=3, E=13, C=4, M=8)
         legacy = object.__new__(LayerShape)
         for key, value in modern.__dict__.items():
@@ -202,3 +203,20 @@ class TestGroupsAndDilation:
         assert legacy.per_group() is legacy
         with pytest.raises(AttributeError):
             legacy.no_such_attribute
+
+    def test_legacy_pickle_loads_as_a_fresh_dense_shape(self):
+        """A shape pickled before groups/dilation existed loads with both
+        fields set to 1, equal to and hashing like a fresh shape."""
+        fresh = conv_layer("c", H=15, R=3, E=13, C=4, M=8)
+        legacy = object.__new__(LayerShape)
+        for key, value in fresh.__dict__.items():
+            if key not in ("groups", "dilation"):
+                object.__setattr__(legacy, key, value)
+        blob = pickle.dumps(legacy)
+        assert b"dilation" not in blob
+        loaded = pickle.loads(blob)
+        assert vars(loaded)["groups"] == 1 and vars(loaded)["dilation"] == 1
+        assert loaded == fresh and hash(loaded) == hash(fresh)
+        grouped = conv_layer("g", H=19, R=3, E=15, C=8, M=8, groups=4,
+                             dilation=2)
+        assert pickle.loads(pickle.dumps(grouped)) == grouped
