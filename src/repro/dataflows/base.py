@@ -134,6 +134,15 @@ class Dataflow(abc.ABC):
     #: Long descriptive name from the taxonomy (Table III).
     description: str = ""
 
+    #: Whether :meth:`dense_candidate_arrays` reads
+    #: ``hw.rf_words_per_pe``.  A mapping search reuses the previous
+    #: search's candidate block only at the same RF where this is True
+    #: (see :class:`repro.mapping.optimizer.SearchMemo`); of the
+    #: built-ins only RS reads it.  True unless a dataflow says
+    #: otherwise, so a third-party enumerator is never shared across
+    #: RF sizes it might read.
+    reads_rf: bool = True
+
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(
             f"cannot set {name!r}: {type(self).__name__} instances are "
@@ -194,8 +203,11 @@ class Dataflow(abc.ABC):
         ops.  Grouped layers reuse the same driver decomposition as the
         scalar path -- one dense block per ``g_p``, concatenated along
         the fold axis in loop order -- so scalar/vector parity is
-        preserved by construction.  Returns None (scalar fallback)
-        when the dataflow does not implement
+        preserved by construction.  A ``g_p`` block is enumerated on
+        its partition's geometry; its ``demand`` is later compared with
+        the partition's ``buffer_words // g_p``
+        (:meth:`~repro.kernels.CandidateArrays.feasible`).  Returns
+        None (scalar fallback) when the dataflow does not implement
         :meth:`dense_candidate_arrays`.
         """
         if layer.groups == 1:
@@ -214,6 +226,15 @@ class Dataflow(abc.ABC):
     def dense_candidate_arrays(self, layer: LayerShape,
                                hw: HardwareConfig):
         """Structure-of-arrays twin of :meth:`enumerate_dense`, or None.
+
+        The contract of a block that carries ``demand``: it never reads
+        ``hw.buffer_words``.  Its ``mask`` holds only the
+        buffer-independent predicates and its ``demand`` the buffer
+        words each slot claims, so the one block answers every buffer
+        size of its (layer, array) point -- the search reuses it while
+        only the buffer (and, where :attr:`reads_rf` is False, the RF)
+        changes.  A block without ``demand`` may filter on the buffer
+        in its ``mask``; it is then never reused.
 
         The base implementation returns None, which tells
         ``optimize_mapping`` to fall back to the streaming scalar path

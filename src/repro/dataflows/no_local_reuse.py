@@ -32,6 +32,7 @@ class NoLocalReuse(Dataflow):
 
     name = "NLR"
     rf_bytes_per_pe = 0
+    reads_rf = False
     description = ("No local reuse: bare ALU array, all data staged in a "
                    "large global buffer (Section IV-C)")
 
@@ -52,10 +53,11 @@ class NoLocalReuse(Dataflow):
         """The dense NLR candidate space as structure-of-arrays columns.
 
         Mirrors :meth:`enumerate_dense`: ``(m_g, c_g)`` pairs in the
-        same thinned-divisor order, the buffer-staging budget applied as
-        a batch mask, and the broadcast-degeneration rescale of
-        :meth:`_build_mapping` as a vectorized select.  NLR has a
-        single residency scenario: K = 1.
+        same thinned-divisor order, the buffer-staging budget as each
+        slot's ``demand`` (the block never reads ``hw.buffer_words``),
+        and the broadcast-degeneration rescale of :meth:`_build_mapping`
+        as a vectorized select.  NLR has a single residency scenario:
+        K = 1.
         """
         n, m, c = layer.N, layer.M, layer.C
         r, e, h = layer.R, layer.E, layer.H
@@ -71,11 +73,7 @@ class NoLocalReuse(Dataflow):
         mg = np.array(mg_vals, dtype=np.int64)
         cg = np.array(cg_vals, dtype=np.int64)
 
-        used = c * r_span * h + mg * c * r * r + mg * e
-        keep = used <= hw.buffer_words
-        if not keep.any():
-            return empty_candidates()
-        mg, cg = mg[keep], cg[keep]
+        demand = c * r_span * h + mg * c * r * r + mg * e
         count = mg.shape[0]
         ones = np.ones(count, dtype=np.float64)
 
@@ -93,6 +91,7 @@ class NoLocalReuse(Dataflow):
             pes=mg * cg,
             mask=np.ones((1, count), dtype=bool),
             params={"m_g": mg, "c_g": cg},
+            demand=demand.reshape(1, count),
         )
 
     def rebuild_dense(self, layer: LayerShape, hw: HardwareConfig,

@@ -76,6 +76,8 @@ class _OutputStationaryBase(Dataflow):
     exploit on chip (> 1 only for OSC).
     """
 
+    reads_rf = False
+
     def _configurations(self, layer: LayerShape, hw: HardwareConfig):
         raise NotImplementedError
 
@@ -161,8 +163,10 @@ class _OutputStationaryBase(Dataflow):
         :meth:`_configurations` generator drives the fold order (it is
         cheap -- at most a few dozen configs), and the three
         buffer-residency scenarios are the rows of the config x
-        scenario grid, masked by the same feasibility predicates as
-        :meth:`_config_candidates`.
+        scenario grid.  The buffer-independent predicates of
+        :meth:`_config_candidates` form the mask and each scenario's
+        budget the slot's ``demand``: the block never reads
+        ``hw.buffer_words``.
         """
         cfgs = list(self._configurations(layer, hw))
         if not cfgs:
@@ -188,23 +192,21 @@ class _OutputStationaryBase(Dataflow):
         w_residual = layer.filter_reuse / w_c
         rest = if_residual / chunk_reuse
 
-        cap = hw.buffer_words
         count = active.shape[0]
         ones = np.ones(count, dtype=np.float64)
         # Scenario columns in _config_candidates order:
-        # (mask, if_a, if_b, w_a, w_b).
+        # (mask, demand, if_a, if_b, w_a, w_b).
         scenarios = (
-            (cfg_ok & (window + m * c * r * r <= cap),
+            (cfg_ok, window + m * c * r * r,
              overlap, if_residual, ones, w_residual),
-            (cfg_ok & (window + m_if * c * r * r <= cap) & (rest >= _EPS),
+            (cfg_ok & (rest >= _EPS), window + m_if * c * r * r,
              overlap * chunk_reuse, rest, ones, w_residual),
-            (cfg_ok & (window + m_if * r * r <= cap)
-             & (rounds >= 1.0 - _EPS),
+            (cfg_ok & (rounds >= 1.0 - _EPS), window + m_if * r * r,
              overlap, if_residual, rounds, w_residual / rounds),
         )
 
-        mask, if_a, if_b, w_a, w_b = (np.array(cols)
-                                      for cols in zip(*scenarios))
+        mask, demand, if_a, if_b, w_a, w_b = (np.array(cols)
+                                              for cols in zip(*scenarios))
 
         accum = np.full(count, float(layer.psum_accumulations))
         return CandidateArrays(
@@ -214,6 +216,7 @@ class _OutputStationaryBase(Dataflow):
             pes=active,
             mask=mask,
             params=pcols,
+            demand=demand,
         )
 
     def rebuild_dense(self, layer: LayerShape, hw: HardwareConfig,

@@ -152,9 +152,10 @@ class RowStationary(Dataflow):
         :meth:`_build_mappings` -- reuse splits, active PEs, the four
         buffer-residency budgets -- is evaluated once over the whole
         fold batch in NumPy.  The four scenarios are the rows of the
-        fold x scenario grid, and infeasible slots (RF overflow, PE
-        overflow, vanished residual reuse, budget misses) are masked by
-        the same predicates.
+        fold x scenario grid.  RF overflow drops a fold, PE overflow and
+        vanished residual reuse clear its mask, and each scenario's
+        budget becomes the slot's ``demand``: the block never reads
+        ``hw.buffer_words`` (it does read ``hw.rf_words_per_pe``).
         """
         array_h, array_w, r_eff, v_fold = self._geometry(layer, hw)
 
@@ -222,24 +223,23 @@ class RowStationary(Dataflow):
         filter_chunk = m_p * c * r * r
         filter_pass = m_p * c_p * r * r
         filter_all = m * c * r * r
-        cap = hw.buffer_words
 
         ones = np.ones(active.shape[0], dtype=np.float64)
-        # Scenario columns in _build_mappings order: (mask, if_a, if_b,
-        # filt_a, filt_b) -- the (c, d) factors and the psum split are
-        # shared by all four scenarios of a fold.
+        # Scenario columns in _build_mappings order: (mask, demand,
+        # if_a, if_b, filt_a, filt_b) -- the (c, d) factors and the psum
+        # split are shared by all four scenarios of a fold.
         scenarios = (
-            (fold_ok & (ifmap_tile + filter_all + psum_tile <= cap),
+            (fold_ok, ifmap_tile + filter_all + psum_tile,
              ones, if_residual, ones, filt_pass),
-            (fold_ok & (ifmap_pass + filter_chunk + psum_tile <= cap),
+            (fold_ok, ifmap_pass + filter_chunk + psum_tile,
              if_chunk, if_rest, ones, filt_pass),
-            (fold_ok & (ifmap_tile + filter_pass + psum_tile <= cap),
+            (fold_ok, ifmap_tile + filter_pass + psum_tile,
              ones, if_residual, filt_pass, ones),
-            (fold_ok & (ifmap_pass + filter_pass + psum_tile <= cap),
+            (fold_ok, ifmap_pass + filter_pass + psum_tile,
              if_chunk, if_rest, filt_pass, ones),
         )
-        mask, if_a, if_b, w_a, w_b = (np.array(cols)
-                                      for cols in zip(*scenarios))
+        mask, demand, if_a, if_b, w_a, w_b = (np.array(cols)
+                                              for cols in zip(*scenarios))
 
         return CandidateArrays(
             ifmap=(if_a, if_b, if_c, if_d),
@@ -249,6 +249,7 @@ class RowStationary(Dataflow):
             mask=mask,
             params={"e": e_col, "n_s": ns, "m_s": ms, "c_s": cs,
                     "n_r": nr, "m_r": mr, "c_r": cr},
+            demand=demand,
         )
 
     def rebuild_dense(self, layer: LayerShape, hw: HardwareConfig,

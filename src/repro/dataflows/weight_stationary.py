@@ -46,6 +46,7 @@ class WeightStationary(Dataflow):
     # The PE pins a single weight and forwards psums: one weight word plus
     # one psum word in flight (Section VI-A: "little local control").
     rf_bytes_per_pe = 4
+    reads_rf = False
     description = ("Weight stationary: weights pinned in RF for all N*E^2 "
                    "uses; systolic psum accumulation (Section IV-A)")
 
@@ -78,7 +79,8 @@ class WeightStationary(Dataflow):
         collected in the same thinned-divisor order and every formula of
         :meth:`_build_mapping` -- the live-psum budget, the broadcast
         rescales, the splits -- is evaluated over the whole batch at
-        once, with infeasible pairs dropped by the same predicate.  WS
+        once.  Every pair is kept: its live-psum budget is the slot's
+        ``demand``, so the block never reads ``hw.buffer_words``.  WS
         has a single residency scenario: K = 1.
         """
         r2 = layer.R ** 2
@@ -98,13 +100,9 @@ class WeightStationary(Dataflow):
         mf = np.array(mf_vals, dtype=np.int64)
         cf = np.array(cf_vals, dtype=np.int64)
 
-        # Feasibility: the in-flight psums + staging rows + pinned
-        # weights must fit the buffer (the missing Fig. 11a WS bar).
-        used = cf * h + mf * cf * r2 + n * mf * e * e
-        keep = used <= hw.buffer_words
-        if not keep.any():
-            return empty_candidates()
-        mf, cf = mf[keep], cf[keep]
+        # Demand: the in-flight psums + staging rows + pinned weights,
+        # which must fit the buffer (the missing Fig. 11a WS bar).
+        demand = cf * h + mf * cf * r2 + n * mf * e * e
         count = mf.shape[0]
         ones = np.ones(count, dtype=np.float64)
 
@@ -125,6 +123,7 @@ class WeightStationary(Dataflow):
             pes=mf * cf * r2,
             mask=np.ones((1, count), dtype=bool),
             params={"m_f": mf, "c_f": cf},
+            demand=demand.reshape(1, count),
         )
 
     def rebuild_dense(self, layer: LayerShape, hw: HardwareConfig,

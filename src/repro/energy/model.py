@@ -31,7 +31,7 @@ from repro.dataflows.base import Dataflow
 from repro.energy.breakdown import EnergyBreakdown, breakdown_mapping
 from repro.energy import edp as edp_model
 from repro.mapping.mapping import Mapping
-from repro.mapping.optimizer import optimize_mapping
+from repro.mapping.optimizer import SearchMemo, optimize_mapping
 from repro.nn.layer import LayerShape
 
 if TYPE_CHECKING:  # imported lazily at runtime to avoid a cycle
@@ -188,15 +188,20 @@ class NetworkEvaluation:
 def evaluate_layer(dataflow: Dataflow, layer: LayerShape,
                    hw: HardwareConfig,
                    costs: EnergyCosts | None = None,
-                   objective: str = "energy") -> Optional[LayerEvaluation]:
+                   objective: str = "energy",
+                   memo: Optional[SearchMemo] = None
+                   ) -> Optional[LayerEvaluation]:
     """Optimize one layer and account its energy; None when infeasible.
 
     The mapping search dispatches to the vectorized kernel or the
     streaming scalar path per the rules in ``optimize_mapping`` -- the
-    returned record is bit-identical either way.
+    returned record is bit-identical either way.  ``memo`` is the
+    caller's :class:`~repro.mapping.optimizer.SearchMemo`, shared by
+    its consecutive searches.
     """
     cost_table = costs or hw.costs
-    result = optimize_mapping(dataflow, layer, hw, cost_table, objective)
+    result = optimize_mapping(dataflow, layer, hw, cost_table, objective,
+                              memo=memo)
     if result.best is None:
         return None
     return LayerEvaluation(

@@ -101,6 +101,7 @@ from repro.energy.model import (
     evaluate_layer,
 )
 from repro.engine.cache import MISSING, CacheKey, EvaluationCache
+from repro.mapping.optimizer import SearchMemo
 from repro.nn.layer import LayerShape
 
 _FALSY = {"0", "false", "no", "off"}
@@ -310,19 +311,22 @@ class _Group:
         self.waiters: List[Tuple[_Cell, int]] = []
 
 
-def _evaluate_rows(rows) -> List[Tuple[bool, object]]:
+def _evaluate_rows(rows, memo: SearchMemo) -> List[Tuple[bool, object]]:
     """``(ok, payload)`` per ``(dataflow, layer, hardware, objective)`` row.
 
     The per-row evaluator of every schedule: pool workers, inline
     batches and degraded chunks.  A failed row carries its exception
     instead of a result, so one raising row (a buggy custom objective,
-    say) cannot discard its siblings' work.
+    say) cannot discard its siblings' work.  Every row's search shares
+    ``memo``, so consecutive rows that differ only in hardware the
+    enumerator does not read (a DSE run over buffer sizes) enumerate
+    once.
     """
     entries: List[Tuple[bool, object]] = []
     for dataflow, layer, hw, objective in rows:
         try:
-            entries.append(
-                (True, evaluate_layer(dataflow, layer, hw, None, objective)))
+            entries.append((True, evaluate_layer(dataflow, layer, hw, None,
+                                                 objective, memo=memo)))
         except Exception as error:  # re-raised by the batch
             entries.append((False, error))
     return entries
@@ -417,7 +421,8 @@ def _evaluate_chunk(dataflows: Tuple[_DataflowRef, ...],
     parent still reach the workers): ``"worker_crash"`` hard-kills this
     worker, breaking the pool; ``"chunk_slow"`` stalls the chunk.
     Re-dispatched chunks never carry a marker, which is what makes
-    recovery deterministic.
+    recovery deterministic.  Each chunk searches with its own
+    :class:`~repro.mapping.optimizer.SearchMemo`.
     """
     from repro.registry import get_dataflow
 
@@ -427,8 +432,9 @@ def _evaluate_chunk(dataflows: Tuple[_DataflowRef, ...],
         time.sleep(faults.CHUNK_SLOW_S)
     resolved = [get_dataflow(ref) if isinstance(ref, str) else ref
                 for ref in dataflows]
-    return _evaluate_rows((resolved[df], layer, hardwares[hw], objective)
-                          for df, layer, hw, objective in rows)
+    return _evaluate_rows(((resolved[df], layer, hardwares[hw], objective)
+                           for df, layer, hw, objective in rows),
+                          SearchMemo())
 
 
 def _with_costs(hw: HardwareConfig,
@@ -559,14 +565,20 @@ class EvaluationEngine:
         rows without waiting on the whole grid.  The stream commits the
         cache when it ends, whether exhausted, abandoned or failed, so
         what it computed persists.
+
+        The call's inline searches share one
+        :class:`~repro.mapping.optimizer.SearchMemo`, created here and
+        dropped with the call: a search repeating the previous one's
+        enumeration key re-masks its candidates instead of enumerating.
         """
         if parallel is None:
             parallel = self.config.parallel
         cells = enumerate(jobs)
         batches = [list(cells)] if parallel else ([cell] for cell in cells)
+        memo = SearchMemo()
         try:
             for batch in batches:
-                yield from self._batch(batch, parallel)
+                yield from self._batch(batch, parallel, memo)
         finally:
             self.cache.commit()
 
@@ -587,8 +599,8 @@ class EvaluationEngine:
 
     # ------------------------------------------------------------------
 
-    def _batch(self, cells: List[Tuple[int, NetworkJob]], parallel: bool
-               ) -> Iterator[Tuple[int, NetworkEvaluation]]:
+    def _batch(self, cells: List[Tuple[int, NetworkJob]], parallel: bool,
+               memo: SearchMemo) -> Iterator[Tuple[int, NetworkEvaluation]]:
         """Answer one batch of ``(index, job)`` cells: the engine's loop.
 
         Each distinct key is looked up once; misses that share a search
@@ -596,7 +608,8 @@ class EvaluationEngine:
         cells ask for it.  Fully cached cells are yielded at once, every
         other cell as soon as the last group it waits on completes.  The
         first failed row is raised once every chunk is in -- and cached,
-        the failed rows' finished siblings included.
+        the failed rows' finished siblings included.  ``memo`` is the
+        call's search memo, for the searches run inline.
         """
         known: Dict[CacheKey, object] = {}  # evaluation, or its _Group
         groups: Dict[tuple, _Group] = {}
@@ -635,7 +648,7 @@ class EvaluationEngine:
         pooled = parallel and misses >= self.config.min_parallel_jobs
         error: Optional[Exception] = None
         for chunk, entries in self._dispatch(list(groups.values()), pooled,
-                                             cache_chunk):
+                                             cache_chunk, memo):
             for group, (ok, value) in zip(chunk, entries):
                 if not ok:
                     error = error or value
@@ -706,7 +719,8 @@ class EvaluationEngine:
             return "chunk_slow"
         return None
 
-    def _dispatch(self, groups: List[_Group], pooled: bool, on_result):
+    def _dispatch(self, groups: List[_Group], pooled: bool, on_result,
+                  memo: SearchMemo):
         """Search each group's lead; yield ``(chunk, entries)`` pairs.
 
         Unpooled, the groups run inline as one chunk; pooled, in chunks
@@ -721,6 +735,8 @@ class EvaluationEngine:
         ``on_result(chunk, entries)`` runs before a chunk is yielded:
         inline, directly; on the pool, from the future's done-callback,
         which then commits -- so an abandoned stream keeps it too.
+        Inline and degraded chunks search with the call's ``memo``; a
+        pooled chunk makes its own.
         """
         pending = self._chunked(groups) if pooled else [groups]
         rebuilds = 0
@@ -774,7 +790,7 @@ class EvaluationEngine:
             pending = failed
             rebuilds += 1
         for chunk in pending:
-            entries = _evaluate_rows(group.row for group in chunk)
+            entries = _evaluate_rows((group.row for group in chunk), memo)
             on_result(chunk, entries)
             yield chunk, entries
 

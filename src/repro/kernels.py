@@ -12,12 +12,17 @@ batch alternative:
   :class:`CandidateArrays` block -- *structure of arrays* over a
   fold x scenario grid: one column per fold for everything a
   buffer-residency scenario does not change, one ``(K, F)`` grid for
-  the split factors it does, and a mask of the feasible slots -- in
+  the split factors it does, a mask of the slots that are feasible
+  whatever the buffer, and each slot's global-buffer ``demand`` -- in
   exactly the order (and with exactly the feasibility filters) of its
-  scalar ``enumerate_mappings`` generator.
+  scalar ``enumerate_mappings`` generator.  A block with ``demand``
+  never reads ``buffer_words``: the buffer only decides which slots
+  :meth:`CandidateArrays.feasible` keeps, so one block (and its scores)
+  serves every buffer size of its (layer, array) point.
 * :func:`score_candidates` computes the objective of the *whole grid*
   in a handful of NumPy ops, reusing the vectorized Eq. (3)/(4) math of
-  :mod:`repro.mapping.reuse`.
+  :mod:`repro.mapping.reuse`; :func:`mask_scores` keeps the candidates
+  of one buffer size.
 * :func:`select_best` reduces the score column to the winning slot
   under the same min/tie-break rule as
   :class:`~repro.engine.reducer.StreamingBest`.
@@ -101,6 +106,14 @@ class CandidateArrays:
     the value, not the arithmetic: each slot's score comes from the
     same expression tree as the scalar candidate's float.
 
+    The contract of a block with :attr:`demand`: its enumerator never
+    read ``hw.buffer_words``.  Every buffer-independent predicate is
+    in :attr:`mask`, and the words each slot claims of the global
+    buffer are in :attr:`demand`, so the candidates at one buffer
+    size are :meth:`feasible` -- the same block serves every buffer.
+    A block without ``demand`` (a third-party enumerator that filters
+    on the buffer itself) holds its candidates in :attr:`mask` alone.
+
     Attributes
     ----------
     ifmap, filter:
@@ -114,7 +127,14 @@ class CandidateArrays:
     pes:
         Active PEs per fold (int64): the EDP delay denominator.
     mask:
-        ``(K, F)`` bool grid of the feasible slots.
+        ``(K, F)`` bool grid of the slots whose buffer-independent
+        predicates hold (PE count, RF fit, vanished reuse, ...).
+    demand:
+        ``(K, F)`` int64 grid of the global-buffer words each slot's
+        working sets claim (what the scalar ``BufferBudget`` sums), or
+        None when :attr:`mask` already applies the buffer.  A grouped
+        block compares it with its partition's share,
+        ``buffer_words // g_p``.
     params:
         Per-fold tiling parameters (int64 columns keyed by name, e.g.
         ``e, n_s, ...``), enough for the owning dataflow's
@@ -129,10 +149,29 @@ class CandidateArrays:
     pes: np.ndarray
     mask: np.ndarray
     params: Dict[str, np.ndarray] = field(default_factory=dict)
+    demand: Optional[np.ndarray] = None
 
     def __len__(self) -> int:
-        """The number of candidates: feasible slots."""
+        """The masked-in slots: the candidates of the largest buffer.
+
+        The candidates at one buffer size are the set slots of
+        :meth:`feasible`; a block without :attr:`demand` has no other.
+        """
         return int(np.count_nonzero(self.mask))
+
+    def feasible(self, buffer_words: int) -> np.ndarray:
+        """The ``(K, F)`` grid of the candidates at one buffer size.
+
+        A slot is a candidate where :attr:`mask` is set and its
+        :attr:`demand` fits the buffer -- for a grouped block, the
+        ``buffer_words // g_p`` words of its group's partition, as the
+        scalar driver's ``partition_hardware`` gives it.
+        """
+        if self.demand is None:
+            return self.mask
+        g_p = self.params.get("g_p")
+        capacity = buffer_words if g_p is None else buffer_words // g_p
+        return self.mask & (self.demand <= capacity)
 
     @property
     def active_pes(self) -> np.ndarray:
@@ -153,7 +192,8 @@ def empty_candidates() -> CandidateArrays:
     return CandidateArrays(ifmap=(z, z, z, z), filter=(z, z, z, z),
                            psum=(z, z, z, z),
                            pes=np.zeros(0, dtype=np.int64),
-                           mask=np.zeros((1, 0), dtype=bool))
+                           mask=np.zeros((1, 0), dtype=bool),
+                           demand=np.zeros((1, 0), dtype=np.int64))
 
 
 def concat_candidates(blocks) -> CandidateArrays:
@@ -162,10 +202,11 @@ def concat_candidates(blocks) -> CandidateArrays:
     The grouped-convolution driver enumerates one dense block per
     group-parallelism factor and splices them into a single candidate
     space; folds keep block order, matching the scalar generator's loop
-    nesting (the tie-break is order-sensitive).  Blocks without a
-    candidate are dropped; with none left the empty block is returned.
-    All remaining blocks come from the same dataflow, so they share K
-    and the ``params`` keys.
+    nesting (the tie-break is order-sensitive).  Blocks with no
+    masked-in slot are dropped (no buffer makes them feasible); with
+    none left the empty block is returned.  All remaining blocks come
+    from the same dataflow, so they share K, the ``params`` keys and
+    whether they carry ``demand``.
     """
     blocks = [block for block in blocks if len(block)]
     if not blocks:
@@ -187,6 +228,8 @@ def concat_candidates(blocks) -> CandidateArrays:
         mask=cat([block.mask for block in blocks]),
         params={name: cat([block.params[name] for block in blocks])
                 for name in blocks[0].params},
+        demand=(None if blocks[0].demand is None
+                else cat([block.demand for block in blocks])),
     )
 
 
@@ -199,13 +242,15 @@ def regroup_candidates(block: CandidateArrays, g_p: int) -> CandidateArrays:
     against the *full* layer's unique-value counts, which are exact
     ``groups`` multiples of the per-group counts) and scales its
     active-PE tie-break/delay column by ``g_p``, recorded in a ``g_p``
-    parameter column for winner reconstruction.
+    parameter column for winner reconstruction and for
+    :meth:`CandidateArrays.feasible`'s per-partition buffer share.
     """
     params = dict(block.params)
     params["g_p"] = np.full(block.pes.shape[0], g_p, dtype=np.int64)
     return CandidateArrays(ifmap=block.ifmap, filter=block.filter,
                            psum=block.psum, pes=block.pes * g_p,
-                           mask=block.mask, params=params)
+                           mask=block.mask, params=params,
+                           demand=block.demand)
 
 
 def _total_energy(block: CandidateArrays, layer: LayerShape,
@@ -263,10 +308,11 @@ def score_candidates(block: CandidateArrays, layer: LayerShape,
                      costs: EnergyCosts, objective: str) -> np.ndarray:
     """Score every slot under a built-in objective at once.
 
-    Returns one score per slot in fold-major, scenario-minor order,
-    +inf where the slot is infeasible -- so no infeasible slot can win
-    :func:`select_best`, and the feasible ones keep the scalar yield
-    order the tie-break depends on.
+    Returns one score per slot in fold-major, scenario-minor order --
+    the scalar yield order the tie-break depends on -- masked or not:
+    the scores read neither the mask nor the buffer, so one column
+    serves every buffer size of the block.  :func:`mask_scores` keeps
+    the candidates of one buffer for :func:`select_best`.
     """
     try:
         scorer = SCORERS[objective]
@@ -275,8 +321,18 @@ def score_candidates(block: CandidateArrays, layer: LayerShape,
         raise ValueError(
             f"no vectorized scorer for objective {objective!r}; "
             f"known: {known}") from None
-    scores = np.where(block.mask, scorer(block, layer, costs), np.inf)
-    return scores.T.reshape(-1)
+    return scorer(block, layer, costs).T.reshape(-1)
+
+
+def mask_scores(scores: np.ndarray, feasible: np.ndarray) -> np.ndarray:
+    """The score column of one buffer size, for :func:`select_best`.
+
+    ``scores`` is :func:`score_candidates`' column and ``feasible`` the
+    block's :meth:`~CandidateArrays.feasible` grid at that buffer.
+    Returns the column with +inf where the slot is not a candidate --
+    so no such slot can win, and the candidates keep their score bits.
+    """
+    return np.where(feasible.T.reshape(-1), scores, np.inf)
 
 
 def select_best(scores: np.ndarray, active_pes: np.ndarray,

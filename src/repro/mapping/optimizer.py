@@ -24,6 +24,12 @@ The search runs one of two equivalent engines:
 Both return bit-identical results (same winning mapping, same score,
 same candidate count); ``REPRO_KERNEL=scalar`` forces the scalar path
 for debugging.  See docs/PERFORMANCE.md.
+
+A caller running many searches in a row -- one engine call -- may pass
+a :class:`SearchMemo`: a search that differs from the previous one only
+in hardware the enumerator does not read (the buffer, and the RF for
+dataflows whose ``reads_rf`` is False) then re-masks the previous
+candidate block and its scores instead of enumerating again.
 """
 
 from __future__ import annotations
@@ -31,6 +37,8 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
+
+import numpy as np
 
 from repro import faults, kernels
 from repro.arch.energy_costs import EnergyCosts
@@ -94,11 +102,38 @@ class MappingSearchResult:
         return self.best is not None
 
 
+class SearchMemo:
+    """The last vectorized enumeration of a run of searches, and its scores.
+
+    One engine call (and each of its pool chunks) holds one memo and
+    passes it to every search it runs.  The memo keeps a single entry:
+    the enumeration key -- dataflow, layer, array geometry and PE
+    count, cost table, objective, and the RF when the dataflow's
+    ``reads_rf`` is set -- with the candidate block and its scores.
+    A search with the same key only masks the block's
+    ``demand`` against its own buffer, selects and rebuilds; any other
+    search drops the entry before it enumerates, so at most one block
+    is alive.  A block without ``demand`` gets no key, so the next
+    search enumerates again.  Scores are computed by the first search
+    that has a candidate.  A memo is not thread-safe and not meant to
+    outlive its call: no later call can be answered from it.
+    """
+
+    __slots__ = ("key", "block", "scores")
+
+    def __init__(self) -> None:
+        self.key: Optional[tuple] = None
+        self.block: Optional[kernels.CandidateArrays] = None
+        self.scores = None
+
+
 def optimize_mapping(dataflow: "Dataflow", layer: LayerShape,
                      hw: HardwareConfig,
                      costs: EnergyCosts | None = None,
                      objective: str = "energy",
-                     tie_tolerance: float = 0.01) -> MappingSearchResult:
+                     tie_tolerance: float = 0.01,
+                     memo: Optional[SearchMemo] = None
+                     ) -> MappingSearchResult:
     """Exhaustively search the dataflow's mapping space for one layer.
 
     Parameters
@@ -114,6 +149,10 @@ def optimize_mapping(dataflow: "Dataflow", layer: LayerShape,
     objective:
         ``"energy"`` (default, the paper's objective), ``"edp"`` or
         ``"dram"``.
+    memo:
+        A :class:`SearchMemo` shared by consecutive searches of one
+        caller, or None (enumerate afresh).  Only the vectorized path
+        reads it; the result is bit-identical either way.
     """
     if objective not in OBJECTIVES:
         known = ", ".join(OBJECTIVES)
@@ -129,7 +168,7 @@ def optimize_mapping(dataflow: "Dataflow", layer: LayerShape,
         # contract, instead of failing the evaluation.
         try:
             result = _optimize_vectorized(dataflow, layer, hw, cost_table,
-                                          objective, tie_tolerance)
+                                          objective, tie_tolerance, memo)
         except Exception as exc:
             faults.record("kernel_degradations")
             logger.warning(
@@ -173,28 +212,48 @@ def _vectorizable(dataflow: "Dataflow", objective: str, score) -> bool:
 
 def _optimize_vectorized(dataflow: "Dataflow", layer: LayerShape,
                          hw: HardwareConfig, cost_table: EnergyCosts,
-                         objective: str, tie_tolerance: float
+                         objective: str, tie_tolerance: float,
+                         memo: Optional[SearchMemo] = None
                          ) -> Optional[MappingSearchResult]:
     """Run one search on the array kernel; None defers to the scalar path.
 
     The dataflow emits its candidate space as one
     :class:`~repro.kernels.CandidateArrays` block (None means it has no
-    array enumerator), the kernel scores the whole batch, and only the
-    winning row is materialized as a :class:`Mapping` through the
-    dataflow's scalar builder -- so the result is field-for-field what
-    the streaming reduction would have produced.
+    array enumerator), the kernel scores the whole batch, the buffer
+    masks the scores, and only the winning row is materialized as a
+    :class:`Mapping` through the dataflow's scalar builder -- so the
+    result is field-for-field what the streaming reduction would have
+    produced.  With a ``memo`` holding this search's enumeration key,
+    the block and scores come from the memo instead.
     """
     faults.maybe_raise("kernel.vector_error")
-    block = dataflow.enumerate_candidate_arrays(layer, hw)
-    if block is None:
-        return None
-    if len(block) == 0:
+    if memo is None:
+        memo = SearchMemo()
+    key = (dataflow, hw.num_pes, hw.array_h, hw.array_w,
+           hw.rf_words_per_pe if dataflow.reads_rf else None,
+           objective, cost_table, layer)
+    if memo.key != key:
+        # Free the old block before the next one is built.
+        memo.key = memo.block = memo.scores = None
+        block = dataflow.enumerate_candidate_arrays(layer, hw)
+        if block is None:
+            return None
+        memo.block = block
+        if block.demand is not None:
+            memo.key = key
+    block = memo.block
+    feasible = block.feasible(hw.buffer_words)
+    candidates = int(np.count_nonzero(feasible))
+    if candidates == 0:
         return MappingSearchResult(dataflow=dataflow.name, layer=layer.name,
                                    best=None, candidates=0,
                                    objective=objective)
-    scores = kernels.score_candidates(block, layer, cost_table, objective)
+    if memo.scores is None:
+        memo.scores = kernels.score_candidates(block, layer, cost_table,
+                                               objective)
+    scores = kernels.mask_scores(memo.scores, feasible)
     winner = kernels.select_best(scores, block.active_pes, tie_tolerance)
     best = dataflow.rebuild_mapping(layer, hw, block.row_params(winner))
     return MappingSearchResult(dataflow=dataflow.name, layer=layer.name,
-                               best=best, candidates=len(block),
+                               best=best, candidates=candidates,
                                objective=objective)

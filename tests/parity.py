@@ -19,7 +19,9 @@ random shapes:
 * :func:`check_buffer_monotonicity` -- growing the global buffer can
   only grow the candidate set (capacity appears solely in feasibility
   masks), so the best score must be monotone non-increasing in buffer
-  words.
+  words; and one candidate enumeration, re-masked per buffer size (and
+  per RF size where the dataflow does not read the RF), must answer
+  exactly what a fresh search at each point answers.
 
 Shapes are kept deliberately small so hundreds of cells stay cheap; the
 generator is deterministic per seed, making every failure replayable
@@ -33,12 +35,14 @@ import random
 import struct
 from contextlib import contextmanager
 
+import numpy as np
+
 from repro import faults
 from repro.arch.energy_costs import EnergyCosts
 from repro.arch.hardware import HardwareConfig, square_array_geometry
 from repro.kernels import score_candidates, select_best
 from repro.mapping.optimizer import OBJECTIVES as _OBJECTIVE_FNS
-from repro.mapping.optimizer import optimize_mapping
+from repro.mapping.optimizer import SearchMemo, optimize_mapping
 from repro.nn.layer import LayerShape, conv_layer, fc_layer
 
 COSTS = EnergyCosts.table_iv()
@@ -264,14 +268,19 @@ def check_parity(dataflow, layer: LayerShape, hw: HardwareConfig,
     assert streamed == scalar.candidates, (
         f"{where}: search counted {scalar.candidates} candidates but the "
         f"generator yields {streamed}")
+    # The block holds every buffer size's candidates; the ones at this
+    # point's buffer are its feasible slots, and only those are scored.
     block = dataflow.enumerate_candidate_arrays(layer, hw)
     assert block is not None, f"{where}: no array enumerator"
-    assert len(block) == scalar.candidates, (
-        f"{where}: array block holds {len(block)} rows, scalar search "
-        f"saw {scalar.candidates}")
+    feasible = block.feasible(hw.buffer_words)
+    slots = int(feasible.sum())
+    assert slots == scalar.candidates, (
+        f"{where}: array block holds {slots} rows feasible at "
+        f"{hw.buffer_words} buffer words, scalar search saw "
+        f"{scalar.candidates}")
 
     if scalar.best is None:
-        assert len(block) == 0, f"{where}: infeasible yet rows exist"
+        assert slots == 0, f"{where}: infeasible yet rows exist"
         return 0
 
     for metric in ("energy_per_mac", "edp"):
@@ -285,7 +294,9 @@ def check_parity(dataflow, layer: LayerShape, hw: HardwareConfig,
     # Dominance under the tie-break rule: the winner's score sits within
     # the tie whisker of the batch minimum, and select_best's row
     # reproduces it bit-for-bit.
-    scores = score_candidates(block, layer, hw.costs, objective)
+    scores = np.where(feasible.T.reshape(-1),
+                      score_candidates(block, layer, hw.costs, objective),
+                      np.inf)
     best_score = scores[select_best(scores, block.active_pes,
                                     tie_tolerance)]
     minimum = scores.min()
@@ -305,6 +316,17 @@ def check_buffer_monotonicity(dataflow, layer: LayerShape,
     non-decreasing and the (tie_tolerance=0) best score monotone
     non-increasing.  (No such property holds for the PE count --
     divisor thinning re-picks interior candidates as lists lengthen.)
+
+    The same fact lets one enumeration serve every buffer size: the
+    searches at the small and big buffers, at a buffer too small for
+    any candidate, at an odd buffer (a grouped layer's partitions get
+    ``buffer_words // g_p``) and at a second RF size run through one
+    :class:`~repro.mapping.optimizer.SearchMemo`.  Each must reuse the
+    first search's block -- except the RF change of a dataflow that
+    reads the RF, which must enumerate again -- and equal a fresh
+    scalar search at its point (whose grouped driver partitions the
+    buffer itself): the winner field for field, its score bits and the
+    candidate count.
     """
     from dataclasses import replace
 
@@ -317,12 +339,43 @@ def check_buffer_monotonicity(dataflow, layer: LayerShape,
     assert big.candidates >= small.candidates, (
         f"{where}: {factor}x buffer lost candidates "
         f"({small.candidates} -> {big.candidates})")
+    score = _OBJECTIVE_FNS[objective]
     if small.best is not None:
         assert big.best is not None, (
             f"{where}: {factor}x buffer turned a feasible cell infeasible")
-        score = _OBJECTIVE_FNS[objective]
         small_score = score(small.best, hw.costs)
         big_score = score(big.best, hw.costs)
         assert big_score <= small_score, (
             f"{where}: {factor}x buffer worsened the best "
             f"({small_score} -> {big_score})")
+
+    points = (("small", hw), ("big", big_hw),
+              ("empty", replace(hw, buffer_words=0)),
+              ("odd", replace(hw, buffer_words=hw.buffer_words * 3 // 2 + 1)),
+              ("rf", replace(hw, rf_words_per_pe=hw.rf_words_per_pe // 4)))
+    memo = SearchMemo()
+    first = None
+    for label, point in points:
+        at = f"{where} at the {label} point"
+        with forced_kernel("vector"), no_degradation(at):
+            shared = optimize_mapping(dataflow, layer, point,
+                                      objective=objective, memo=memo)
+        with forced_kernel("scalar"):
+            fresh = optimize_mapping(dataflow, layer, point,
+                                     objective=objective)
+        first = memo.block if first is None else first
+        reenumerated = label == "rf" and dataflow.reads_rf
+        assert (memo.block is not first) == reenumerated, (
+            f"{at}: the shared search "
+            f"{'reused' if not reenumerated else 're-enumerated'} the "
+            f"first search's block, expected the opposite")
+        assert shared.candidates == fresh.candidates, (
+            f"{at}: {shared.candidates} shared-enumeration candidates, "
+            f"{fresh.candidates} fresh")
+        assert shared.best == fresh.best, f"{at}: winners diverge"
+        if label == "empty":
+            assert fresh.best is None, f"{at}: a zero buffer fits a mapping"
+        if fresh.best is not None:
+            assert bits(score(shared.best, point.costs)) == \
+                bits(score(fresh.best, point.costs)), (
+                    f"{at}: winner score bits diverge")

@@ -23,6 +23,7 @@ from repro.analysis.sweep import (
 from repro.api import ResultSet, Scenario, Session
 from repro.arch.hardware import HardwareConfig
 from repro.arch.storage import allocate_storage
+from repro.dataflows.no_local_reuse import NoLocalReuse
 from repro.dataflows.registry import DATAFLOWS
 from repro.dataflows.row_stationary import RowStationary
 from repro.energy.model import (
@@ -42,7 +43,9 @@ from repro.engine import (
     default_engine,
 )
 from repro.engine.core import _parse_repro_parallel
+from repro.nn.layer import conv_layer
 from repro.nn.networks import alexnet_conv_layers, alexnet_fc_layers
+from repro.registry import register_dataflow
 from repro.store import ExperimentStore
 
 BATCH = 2
@@ -656,3 +659,127 @@ class TestOneSearchPerShape:
         assert ResultSet.from_store(path).rows == tuple(live)
         assert_direct(ALL_TWIN_CELLS, [row.evaluation for row in live],
                       direct_answers)
+
+
+# ----------------------------------------------------------------------
+# One enumeration per run of searches that share it, per call.
+# ----------------------------------------------------------------------
+
+#: A tiny single-layer free-mode space: 3 geometries x 3 RF x 4 buffer
+#: sizes x the six dataflows = 216 candidates, 120 of them sampled.
+REUSE_SPACE = dict(
+    workload=(conv_layer("T", H=10, R=3, E=8, C=4, M=8),),
+    pe_counts=(16, 32, 64), rf_choices=(32, 64, 128),
+    glb_choices=(2048, 4096, 8192, 16384), batch=1, sample=120, seed=3)
+REUSE_CHUNK = 32
+
+
+class _UnsplitNLR(NoLocalReuse):
+    """NLR with a third-party-style block: the buffer in its mask and
+    no ``demand``, so no search may reuse it."""
+
+    name = "NLR-UNSPLIT"
+
+    def dense_candidate_arrays(self, layer, hw):
+        block = super().dense_candidate_arrays(layer, hw)
+        return replace(block, mask=block.feasible(hw.buffer_words),
+                       demand=None)
+
+
+@pytest.fixture
+def enumerations(monkeypatch):
+    """(dataflow, hardware) of every candidate-block enumeration."""
+    from repro.dataflows.base import Dataflow
+
+    monkeypatch.delenv("REPRO_KERNEL", raising=False)
+    calls = []
+    enumerate_arrays = Dataflow.enumerate_candidate_arrays
+
+    def counting(self, layer, hw):
+        calls.append((self.name, hw))
+        return enumerate_arrays(self, layer, hw)
+
+    monkeypatch.setattr(Dataflow, "enumerate_candidate_arrays", counting)
+    return calls
+
+
+def key_runs(space, chunk: int) -> int:
+    """Enumerations the memo should make over an explore_stream.
+
+    Each chunk is one engine call with its own memo; within it, a new
+    enumeration starts wherever the (dataflow, geometry, RF-if-read)
+    key changes from the previous candidate's.
+    """
+    candidates = list(space.iter_candidates_indexed())
+    runs = 0
+    for start in range(0, len(candidates), chunk):
+        previous = None
+        for _index, name, point in candidates[start:start + chunk]:
+            reads_rf = DATAFLOWS[name].reads_rf
+            key = (name, point.array_h, point.array_w,
+                   point.rf_bytes_per_pe if reads_rf else None)
+            runs += key != previous
+            previous = key
+    return runs
+
+
+def explore_serial(space):
+    from repro.dse import explore
+
+    with Session(parallel=False) as session:
+        return explore(space, session=session, chunk=REUSE_CHUNK,
+                       keep_candidates=True)
+
+
+class TestEnumerationReuse:
+    def test_explore_enumerates_once_per_key_run(self, enumerations,
+                                                 searches, monkeypatch):
+        from repro.dse import DesignSpace
+
+        space = DesignSpace(**REUSE_SPACE)
+        pareto = explore_serial(space)
+        runs = key_runs(space, REUSE_CHUNK)
+        assert len(searches) == pareto.num_evaluated == 120
+        assert len(enumerations) == runs
+        assert 120 // REUSE_CHUNK < runs < 120  # reuse, and not too much
+        monkeypatch.setenv("REPRO_KERNEL", "scalar")
+        scalar = explore_serial(space)
+        assert scalar.to_dicts(include_dominated=True) == \
+            pareto.to_dicts(include_dominated=True)
+        assert tuple(scalar) == tuple(pareto)
+
+    def test_each_engine_call_enumerates_again(self, enumerations,
+                                               searches):
+        """The memo lives for one call: a later call re-enumerates."""
+        layer = REUSE_SPACE["workload"][0]
+        base = HardwareConfig(num_pes=16, array_h=4, array_w=4,
+                              rf_words_per_pe=64, buffer_words=1024)
+        jobs = [NetworkJob(DATAFLOWS[name], (layer,),
+                           replace(base, buffer_words=words))
+                for name in ("RS", "WS") for words in (1024, 2048, 4096)]
+        engine = serial_engine()
+        first = engine.evaluate_networks(jobs)
+        assert len(searches) == 6 and len(enumerations) == 2
+        engine.cache.clear()
+        again = engine.evaluate_networks(jobs)
+        assert len(searches) == 12 and len(enumerations) == 4
+        assert again == first
+        assert first == [seed_evaluate_network(job.dataflow, job.layers,
+                                               job.hardware)
+                         for job in jobs]
+
+    def test_block_without_demand_is_enumerated_per_point(
+            self, enumerations, searches, monkeypatch):
+        from repro.dse import DesignSpace
+        from repro.registry import dataflow_registry
+
+        register_dataflow(_UnsplitNLR())
+        try:
+            space = DesignSpace(dataflows=("NLR-UNSPLIT",), **REUSE_SPACE)
+            pareto = explore_serial(space)
+            assert pareto.num_evaluated == len(searches) == 36
+            assert len(enumerations) == 36
+            monkeypatch.setenv("REPRO_KERNEL", "scalar")
+            assert tuple(explore_serial(space)) == tuple(pareto)
+        finally:
+            dataflow_registry.remove("NLR-UNSPLIT")

@@ -69,7 +69,8 @@ class TestGeneratedParity:
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("name", sorted(DATAFLOWS))
 class TestBufferMonotonicity:
-    """Best score is monotone non-increasing in global-buffer capacity."""
+    """Best score is monotone non-increasing in global-buffer capacity,
+    and one enumeration answers every buffer size exactly."""
 
     def test_bigger_buffer_never_worse(self, name, seed):
         dataflow = DATAFLOWS[name]
@@ -78,6 +79,13 @@ class TestBufferMonotonicity:
             layer = gen.any_shape()
             hw = gen.hardware()
             check_buffer_monotonicity(dataflow, layer, hw,
+                                      objective=gen.objective(),
+                                      context=f"seed={seed} ")
+        # Grouped and depthwise layers split the buffer per partition
+        # (buffer_words // g_p): always cover both.
+        for layer in (gen.grouped_conv(), gen.depthwise_conv()):
+            assert layer.groups > 1
+            check_buffer_monotonicity(dataflow, layer, gen.hardware(),
                                       objective=gen.objective(),
                                       context=f"seed={seed} ")
 
