@@ -1,18 +1,19 @@
 """Service warm-cache benchmark: the PR 2 acceptance criterion.
 
 Runs the AlexNet x 6-dataflow batch grid through ``repro batch``'s
-machinery twice against one persisted cache file -- two separate
-:func:`persistent_cache` sessions, i.e. two simulated process restarts
--- and checks that the second run is answered almost entirely from the
-disk tier: >= 90% cache hit rate and measurably lower wall time, while
-the cache never grows past its configured ``max_entries`` bound.
+machinery twice against one experiment store -- two separate
+store-backed sessions, i.e. two simulated process restarts -- and
+checks that the second run is answered almost entirely from the store:
+>= 90% cache hit rate and measurably lower wall time, while the
+in-memory LRU never grows past its configured ``max_entries`` bound.
 """
 
 import time
 
 from repro.analysis.report import format_table
-from repro.engine import EngineConfig, EvaluationEngine
-from repro.service import BatchDispatcher, BatchRequest, persistent_cache
+from repro.api import Session
+from repro.engine import EngineConfig, EvaluationCache, EvaluationEngine
+from repro.service import BatchDispatcher, BatchRequest
 
 #: The acceptance grid: all of AlexNet under all six dataflows.
 GRID_SPEC = {
@@ -28,29 +29,30 @@ GRID_SPEC = {
 MAX_ENTRIES = 64
 
 
-def _run_once(cache_path, request):
-    with persistent_cache(cache_path, max_entries=MAX_ENTRIES) as cache:
-        engine = EvaluationEngine(EngineConfig(parallel=False), cache)
+def _run_once(store_path, request):
+    with Session(parallel=False, store=store_path,
+                 max_cache_entries=MAX_ENTRIES) as session:
         start = time.perf_counter()
-        result = BatchDispatcher(engine).run(request)
+        result = BatchDispatcher(session).run(request)
         elapsed = time.perf_counter() - start
-        assert len(cache) <= MAX_ENTRIES
-        return result, elapsed, len(cache)
+        size = len(session.cache)
+        assert size <= MAX_ENTRIES
+        return result, elapsed, size
 
 
 def test_service_warm_cache(tmp_path, emit):
-    cache_path = tmp_path / "service-cache.pkl"
+    store_path = tmp_path / "service-store.db"
     request = BatchRequest.from_dict(GRID_SPEC)
 
-    cold, cold_s, cold_size = _run_once(cache_path, request)
-    warm, warm_s, warm_size = _run_once(cache_path, request)
+    cold, cold_s, cold_size = _run_once(store_path, request)
+    warm, warm_s, warm_size = _run_once(store_path, request)
 
     emit("service_warm_cache", format_table(
         ["run", "wall s", "hit rate", "cache size", "evictions"],
-        [["cold (empty file)", f"{cold_s:.2f}",
+        [["cold (empty store)", f"{cold_s:.2f}",
           f"{cold.cache.hit_rate:.0%}", str(cold_size),
           str(cold.cache.evictions)],
-         ["warm (restart + reload)", f"{warm_s:.3f}",
+         ["warm (restart, same store)", f"{warm_s:.3f}",
           f"{warm.cache.hit_rate:.0%}", str(warm_size),
           str(warm.cache.evictions)]],
         title=f"repro batch {GRID_SPEC['id']}: "
@@ -71,15 +73,15 @@ def test_service_cache_stays_bounded_under_sweep(tmp_path, emit):
     """A sustained multi-grid sweep against a tiny bound must evict
     instead of growing without limit (the PR 1 leak, fixed)."""
     bound = 8
-    with persistent_cache(tmp_path / "tiny.pkl", max_entries=bound) as cache:
-        engine = EvaluationEngine(EngineConfig(parallel=False), cache)
-        dispatcher = BatchDispatcher(engine)
-        for pes in (64, 128, 256):
-            request = BatchRequest.from_dict(
-                {"network": "alexnet-fc", "batch": 1,
-                 "dataflows": ["RS", "NLR"], "pe_counts": [pes]})
-            dispatcher.run(request)
-            assert len(cache) <= bound
+    cache = EvaluationCache(max_entries=bound)
+    engine = EvaluationEngine(EngineConfig(parallel=False), cache)
+    dispatcher = BatchDispatcher(engine)
+    for pes in (64, 128, 256):
+        request = BatchRequest.from_dict(
+            {"network": "alexnet-fc", "batch": 1,
+             "dataflows": ["RS", "NLR"], "pe_counts": [pes]})
+        dispatcher.run(request)
+        assert len(cache) <= bound
     stats = cache.stats
     assert stats.evictions > 0
     emit("service_cache_bound", format_table(

@@ -13,8 +13,8 @@ energy model, Section VI):
   ``@register_network`` / ``@register_dataflow`` /
   ``@register_objective`` extension is immediately expressible.
 * :class:`Session` -- owns the :class:`~repro.engine.core.EvaluationEngine`,
-  its bounded LRU cache, the optional persistent disk tier and the
-  worker pools.  It is the *only* place engines are constructed on the
+  its bounded LRU cache, the optional experiment store and the worker
+  pools.  It is the *only* place engines are constructed on the
   CLI, service and analysis paths.
 * :meth:`Session.evaluate` -- one engine call over the whole grid,
   answered as a :class:`ResultSet`: tabular,
@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, fields, replace
-from pathlib import Path
 from typing import (
     Callable,
     Dict,
@@ -76,16 +75,11 @@ from repro.registry import (
 #: Workload label used for scenarios built from explicit layer lists.
 CUSTOM_WORKLOAD = "custom"
 
-#: Sentinel for ``Session(cache_file=ENV_CACHE)``: resolve the persistent
-#: tier from the ``REPRO_CACHE`` environment variable (the ``repro
-#: batch``/``repro serve`` behavior).  The default ``cache_file=None``
-#: means *no* disk tier -- a library session never touches a file the
-#: caller didn't name.
-ENV_CACHE = object()
-
 #: Sentinel for ``Session(store=ENV_STORE)``: resolve the experiment
 #: store path from the ``REPRO_STORE`` environment variable (no store
-#: when unset), mirroring :data:`ENV_CACHE` for the SQLite tier.
+#: when unset; the ``repro batch``/``repro serve`` behavior).  The
+#: default ``store=None`` means no store -- a library session never
+#: touches a file the caller didn't name.
 ENV_STORE = object()
 
 
@@ -496,12 +490,6 @@ class Session:
         ``workers=N`` implies ``parallel=True``.
     ``cache`` / ``max_cache_entries``
         The in-memory bounded LRU tier (``REPRO_CACHE_MAX_ENTRIES``).
-    ``cache_file``
-        The persistent disk tier: loaded (and validated) on
-        construction, flushed atomically on :meth:`close`.  ``None``
-        (the default) means no disk tier; pass :data:`ENV_CACHE` to
-        resolve the path from the ``REPRO_CACHE`` environment variable,
-        as ``repro batch``/``repro serve`` do.
     ``store`` / ``record``
         The SQLite experiment store.  ``store`` names an
         :class:`~repro.store.db.ExperimentStore` (or a path to one, or
@@ -512,11 +500,12 @@ class Session:
         (``True``, or a string run label) additionally writes every
         cell :meth:`evaluate`/:meth:`stream`/:meth:`explore` completes
         into the store's ``cells`` table under a provenance-stamped
-        run -- the rows ``repro query`` and ``repro diff`` read.
+        run -- the rows ``repro query`` and ``repro diff`` read.  The
+        store is the only tier whose answers outlive the process.
     ``engine``
         Wrap an existing engine instead of building one (the default
         session does this); the session then neither owns its pool nor
-        its persistence.
+        a store.
     ``faults``
         Arm a :class:`repro.faults.FaultPlan` (or a ``REPRO_FAULTS``
         spec string) for the session's lifetime -- the programmatic
@@ -525,8 +514,8 @@ class Session:
         before; :attr:`fault_stats` snapshots the injection/recovery
         counters.
 
-    Sessions are context managers; ``close()`` finishes the recorded
-    run, flushes the persistence tiers and shuts the pool down.
+    Sessions are context managers; ``close()`` commits queued store
+    writes, finishes the recorded run and shuts the pool down.
     """
 
     def __init__(self, *,
@@ -535,7 +524,6 @@ class Session:
                  workers: Optional[int] = None,
                  cache: Optional[EvaluationCache] = None,
                  max_cache_entries: Optional[int] = None,
-                 cache_file: Optional[Union[str, Path]] = None,
                  store=None,
                  record: Union[bool, str] = False,
                  engine_config: Optional[EngineConfig] = None,
@@ -553,13 +541,12 @@ class Session:
         if engine is not None:
             if any(option is not None for option in
                    (parallel, executor, workers, cache, max_cache_entries,
-                    cache_file, engine_config, store)) or record:
+                    engine_config, store)) or record:
                 raise ValueError(
                     "pass either an existing engine or construction "
                     "options, not both")
             self._engine = engine
             self._owns_engine = False
-            self._cache_file: Optional[Path] = None
         else:
             config = engine_config or EngineConfig.from_env()
             if workers is not None:
@@ -589,10 +576,6 @@ class Session:
                     "not both (the cache carries its own bound)")
             self._engine = EvaluationEngine(config, cache)
             self._owns_engine = True
-            self._cache_file = self._resolve_cache_file(cache_file)
-            if self._cache_file is not None:
-                from repro.service.persistence import load_into
-                load_into(self._engine.cache, self._cache_file)
         if self._recording:
             import threading
             self._run_lock = threading.Lock()
@@ -604,15 +587,6 @@ class Session:
             self._fault_previous = _faults.arm(plan)
             self._faults_armed = True
         self._closed = False
-
-    @staticmethod
-    def _resolve_cache_file(cache_file) -> Optional[Path]:
-        if cache_file is None:
-            return None
-        if cache_file is ENV_CACHE:
-            from repro.service.persistence import default_cache_path
-            return default_cache_path()
-        return Path(cache_file)
 
     @staticmethod
     def _resolve_store(store):
@@ -863,24 +837,28 @@ class Session:
     # ------------------------------------------------------------------
 
     def close(self) -> None:
-        """Commit queued store writes, finish the run, flush persistence
-        and shut the pool down."""
+        """Commit queued store writes, finish the run and shut the pool
+        down.
+
+        The pool, an owned store and the fault plan armed before this
+        session are released even when the last store write fails; the
+        write's error then propagates.
+        """
         if self._closed:
             return
         self._closed = True
-        if self._cache_file is not None:
-            from repro.service.persistence import flush
-            flush(self._engine.cache, self._cache_file)
-        self._engine.cache.commit()
-        if self._run_id is not None:
-            self._store.finish_run(self._run_id)
-        if self._owns_engine:
-            self._engine.close()
-        if self._owns_store:
-            self._store.close()
-        if self._faults_armed:
-            _faults.arm(self._fault_previous)
-            self._faults_armed = False
+        try:
+            self._engine.cache.commit()
+            if self._run_id is not None:
+                self._store.finish_run(self._run_id)
+        finally:
+            if self._owns_engine:
+                self._engine.close()
+            if self._owns_store:
+                self._store.close()
+            if self._faults_armed:
+                _faults.arm(self._fault_previous)
+                self._faults_armed = False
 
     def __enter__(self) -> "Session":
         return self

@@ -31,14 +31,12 @@ engine, cache tier and worker pool is owned by a
 Results are memoized across subcommand internals, and
 ``sweep``/``batch`` can fan their grids out over a worker pool
 (``--workers`` or the ``REPRO_PARALLEL`` environment variable;
-``--serial`` forces the sequential path).  ``batch`` and ``serve``
-persist the cache across processes via ``--cache-file`` or the
-``REPRO_CACHE`` environment variable, so a repeated grid is answered
-from disk instead of re-running the mapping search.  The evaluating
-subcommands also take ``--store``/``--record`` (or ``REPRO_STORE``):
-the SQLite experiment store then backs the warm cache tier and, when
-recording, keeps every evaluated cell queryable by ``repro query`` and
-diffable by ``repro diff``.
+``--serial`` forces the sequential path).  The evaluating subcommands
+take ``--store``/``--record`` (or ``REPRO_STORE``): the SQLite
+experiment store then backs the warm cache tier, so a repeated grid is
+answered from the store instead of re-running the mapping search, even
+in a fresh process, and, when recording, keeps every evaluated cell
+queryable by ``repro query`` and diffable by ``repro diff``.
 
 Errors (unknown layer names, impossible sweep grids) exit with a clean
 one-line message and a nonzero status instead of a traceback: 2 for bad
@@ -60,7 +58,6 @@ from repro.analysis.experiments import fig7_storage_allocation
 from repro.analysis.report import format_table
 from repro.analysis.sweep import PE_COUNTS, fig15_area_allocation_sweep
 from repro.api import (
-    ENV_CACHE,
     ENV_STORE,
     Scenario,
     Session,
@@ -165,10 +162,8 @@ def _add_store_arguments(parser: argparse.ArgumentParser) -> None:
 def _add_service_arguments(parser: argparse.ArgumentParser,
                            workers: bool = False) -> None:
     """Cache/parallelism flags shared by ``batch`` and ``serve``."""
-    parser.add_argument("--cache-file", default=None, metavar="PATH",
-                        help="persist the evaluation cache to PATH "
-                             "(default: the REPRO_CACHE environment "
-                             "variable; unset = in-memory only)")
+    # The removed snapshot cache's flag, kept only to point at --store.
+    parser.add_argument("--cache-file", help=argparse.SUPPRESS)
     parser.add_argument("--max-cache-entries", type=int, default=None,
                         metavar="N",
                         help="LRU bound of the cache (default: "
@@ -200,16 +195,16 @@ def _service_session(args: argparse.Namespace) -> Session:
 
     The session owns every tier the flags describe: the worker pool
     (--workers/--serial, else REPRO_PARALLEL), the bounded LRU
-    (--max-cache-entries), the persistent disk tier (--cache-file, else
-    REPRO_CACHE, flushed on close) and the experiment store
-    (--store/--record, else REPRO_STORE).
+    (--max-cache-entries) and the experiment store (--store/--record,
+    else REPRO_STORE), the one tier that outlives the process.
     """
-    options = dict(
-        # No --cache-file flag falls back to the REPRO_CACHE variable.
-        cache_file=(args.cache_file if args.cache_file is not None
-                    else ENV_CACHE),
-        max_cache_entries=args.max_cache_entries,
-        **_store_options(args))
+    if args.cache_file is not None:
+        raise ValueError(
+            "--cache-file was removed with the snapshot cache; pass "
+            "--store PATH (or set REPRO_STORE) to keep answers across "
+            "runs")
+    options = dict(max_cache_entries=args.max_cache_entries,
+                   **_store_options(args))
     if args.workers is not None:
         return Session(parallel=True, workers=args.workers, **options)
     if args.serial:
@@ -849,7 +844,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     (:mod:`repro.netserve`), multiplexing every connected client onto
     this one warm session.  Both modes run the same dispatch core, so
     a request behaves identically over either transport.  The session
-    closes on the way out, which flushes the persistent cache tier and
+    closes on the way out, which commits queued store writes and
     finishes the recorded store run -- including after a SIGTERM drain.
     """
     with _service_session(args) as session:

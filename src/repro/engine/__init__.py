@@ -25,7 +25,6 @@ from typing import TYPE_CHECKING
 
 _EXPORTS = {
     "MISSING": "repro.engine.cache",
-    "CacheFormatError": "repro.engine.cache",
     "CacheKey": "repro.engine.cache",
     "CacheStats": "repro.engine.cache",
     "DEFAULT_MAX_ENTRIES": "repro.engine.cache",
@@ -45,7 +44,6 @@ if TYPE_CHECKING:  # pragma: no cover - static analysis only
     from repro.engine.cache import (  # noqa: F401
         DEFAULT_MAX_ENTRIES,
         MISSING,
-        CacheFormatError,
         CacheKey,
         CacheStats,
         EvaluationCache,

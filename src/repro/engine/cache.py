@@ -10,38 +10,29 @@ dataclasses, so two structurally equal problems always share one entry
 no matter which driver asked first.
 
 Unlike ``lru_cache`` the cache is explicit: it can be inspected
-(hit/miss/eviction statistics), cleared, shared between engines, and
-persisted to disk with :meth:`EvaluationCache.save` /
-:meth:`EvaluationCache.load` so repeated sweep runs across processes
-can skip the mapping search entirely.  Infeasible evaluations (``None``)
-are cached too -- they are just as expensive to discover as feasible
-ones.
+(hit/miss/eviction statistics), cleared and shared between engines.
+It lives as long as its process; answers outlive the process only in
+the experiment store, whose warm tier
+(:class:`repro.store.tier.StoreTierCache`) extends this class.
+Infeasible evaluations (``None``) are cached too -- they are just as
+expensive to discover as feasible ones.
 
-The store is a bounded LRU: once ``max_entries`` is reached the
+The cache is a bounded LRU: once ``max_entries`` is reached the
 least-recently-used entry is evicted (and counted in
 :attr:`CacheStats.evictions`), so sustained sweeps cannot grow the
-process without bound.  The default bound comes from the
+process without bound.  ``max_entries=None`` takes the bound from the
 ``REPRO_CACHE_MAX_ENTRIES`` environment variable
-(:data:`DEFAULT_MAX_ENTRIES` when unset); ``max_entries=None`` disables
-eviction for callers that manage their own lifetime.
-
-Snapshots are versioned (:data:`CACHE_FORMAT`) and validated on load:
-a corrupt, truncated or foreign pickle raises :class:`CacheFormatError`
-with a clear message instead of surfacing as an arbitrary downstream
-exception.
+(:data:`DEFAULT_MAX_ENTRIES` when unset); every cache has a bound.
 """
 
 from __future__ import annotations
 
 import os
-import pickle
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from pathlib import Path
 from typing import TYPE_CHECKING, Optional
 
-from repro import faults
 from repro.arch.hardware import HardwareConfig
 from repro.nn.layer import LayerShape
 
@@ -51,16 +42,9 @@ if TYPE_CHECKING:  # avoid a circular import; only used as a type here
 #: Sentinel distinguishing "not cached" from a cached infeasible (None).
 MISSING = object()
 
-#: Version tag written into every snapshot so stale files fail cleanly.
-CACHE_FORMAT = "repro-evaluation-cache/1"
-
 #: LRU bound applied when neither the constructor nor the
 #: ``REPRO_CACHE_MAX_ENTRIES`` environment variable says otherwise.
 DEFAULT_MAX_ENTRIES = 65536
-
-
-class CacheFormatError(ValueError):
-    """A cache snapshot is corrupt, truncated or not a cache at all."""
 
 
 def default_max_entries() -> int:
@@ -164,13 +148,6 @@ class EvaluationCache:
         self._misses = 0
         self._evictions = 0
 
-    @classmethod
-    def unbounded(cls) -> "EvaluationCache":
-        """A cache that never evicts (the caller manages its lifetime)."""
-        cache = cls(max_entries=1)
-        cache.max_entries = None
-        return cache
-
     # ------------------------------------------------------------------
 
     def get(self, key: CacheKey):
@@ -197,10 +174,9 @@ class EvaluationCache:
                     value: Optional["LayerEvaluation"]) -> None:
         self._data[key] = value
         self._data.move_to_end(key)
-        if self.max_entries is not None:
-            while len(self._data) > self.max_entries:
-                self._data.popitem(last=False)
-                self._evictions += 1
+        while len(self._data) > self.max_entries:
+            self._data.popitem(last=False)
+            self._evictions += 1
 
     def __contains__(self, key: CacheKey) -> bool:
         with self._lock:
@@ -230,130 +206,3 @@ class EvaluationCache:
             return CacheStats(hits=self._hits, misses=self._misses,
                               size=len(self._data),
                               evictions=self._evictions)
-
-    # ------------------------------------------------------------------
-    # Persistence.
-    # ------------------------------------------------------------------
-
-    def snapshot(self) -> "OrderedDict[CacheKey, object]":
-        """Ordered copy of the entries, least-recently-used first."""
-        with self._lock:
-            return OrderedDict(self._data)
-
-    def save(self, path: str | Path) -> None:
-        """Write a versioned snapshot of the entries (not the counters)."""
-        write_snapshot(path, self.snapshot())
-
-    @classmethod
-    def load(cls, path: str | Path,
-             max_entries: Optional[int] = None) -> "EvaluationCache":
-        """Rebuild a cache from a :meth:`save` snapshot.
-
-        The payload is validated before any entry is admitted (see
-        :func:`read_snapshot`); entries beyond ``max_entries`` are
-        evicted oldest-in-file first.
-        """
-        cache = cls(max_entries=max_entries)
-        cache.update_entries(read_snapshot(path))
-        return cache
-
-    @staticmethod
-    def _validate_payload(payload, path: Path) -> dict:
-        from repro.energy.model import LayerEvaluation
-
-        if isinstance(payload, dict) and "format" in payload:
-            if payload.get("format") != CACHE_FORMAT:
-                raise CacheFormatError(
-                    f"cache file {path} has format "
-                    f"{payload.get('format')!r}; this build reads "
-                    f"{CACHE_FORMAT!r} -- delete the file and re-warm")
-            entries = payload.get("entries")
-        else:
-            entries = payload  # legacy (pre-versioning) plain-dict snapshot
-        if not isinstance(entries, dict):
-            raise CacheFormatError(
-                f"cache file {path} does not contain a mapping of entries "
-                f"(got {type(entries).__name__})")
-        for key, value in entries.items():
-            if not isinstance(key, CacheKey):
-                raise CacheFormatError(
-                    f"cache file {path} holds a non-CacheKey key "
-                    f"({type(key).__name__}); not an evaluation cache")
-            if value is not None and not isinstance(value, LayerEvaluation):
-                raise CacheFormatError(
-                    f"cache file {path} holds a non-evaluation value "
-                    f"({type(value).__name__}) for {key.dataflow}/"
-                    f"{key.layer.name}")
-        return entries
-
-    def update(self, other: "EvaluationCache") -> int:
-        """Merge another cache's entries into this one (LRU-respecting).
-
-        Returns the number of keys that were new to this cache.
-        """
-        return self.update_entries(other.snapshot())
-
-    def update_entries(self, entries) -> int:
-        """Merge a key->evaluation mapping; returns the new-key count."""
-        with self._lock:
-            added = 0
-            for key, value in entries.items():
-                if key not in self._data:
-                    added += 1
-                self._put_locked(key, value)
-            return added
-
-
-# ----------------------------------------------------------------------
-# Snapshot I/O shared by save/load and the service's disk tier.
-# ----------------------------------------------------------------------
-
-
-def read_snapshot(path: str | Path) -> dict:
-    """Read and validate a snapshot file into a key->evaluation dict.
-
-    The payload must be a version-tagged mapping (or a legacy plain
-    dict) from :class:`CacheKey` to
-    :class:`~repro.energy.model.LayerEvaluation` or ``None``.  Anything
-    else -- truncated file, foreign pickle, stale schema -- raises
-    :class:`CacheFormatError`.
-    """
-    path = Path(path)
-    try:
-        raw = path.read_bytes()
-    except OSError as exc:
-        raise CacheFormatError(
-            f"cannot read cache file {path}: {exc}") from exc
-    try:
-        payload = pickle.loads(raw)
-    except Exception as exc:  # pickle raises a zoo of exception types
-        raise CacheFormatError(
-            f"cache file {path} is not a valid snapshot "
-            f"(corrupt or truncated pickle: {exc})") from exc
-    return EvaluationCache._validate_payload(payload, path)
-
-
-def write_snapshot(path: str | Path, entries) -> None:
-    """Write a versioned snapshot crash-safely (temp + fsync + rename).
-
-    Atomicity means a reader never sees a half-written snapshot, even
-    when several processes share one cache file; the fsync before the
-    rename means a crash right *after* the rename cannot leave the new
-    name pointing at unwritten data.  On any failure the temp file is
-    removed and the previous snapshot (if any) is left untouched --
-    the ``cache.flush_io_error`` injection point exercises exactly
-    this path.
-    """
-    path = Path(path)
-    payload = {"format": CACHE_FORMAT, "entries": dict(entries)}
-    tmp = path.with_name(path.name + f".tmp.{os.getpid()}")
-    try:
-        faults.maybe_raise("cache.flush_io_error", OSError)
-        with open(tmp, "wb") as handle:
-            handle.write(pickle.dumps(payload))
-            handle.flush()
-            os.fsync(handle.fileno())
-        tmp.replace(path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise

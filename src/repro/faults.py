@@ -19,8 +19,8 @@ This module is the switchboard that makes every degraded path
   :func:`arm` / the :func:`injected` context manager.
 * :class:`FaultStats` counts what actually happened -- injections per
   point plus every *recovery* the hardened layers performed (pool
-  rebuilds, chunk retries, kernel and serial degradations, flush
-  errors survived, store write retries, connection drops) -- in the
+  rebuilds, chunk retries, kernel and serial degradations, store
+  write retries, connection drops, deadline timeouts) -- in the
   style of :class:`~repro.engine.cache.CacheStats`.  The counters are
   process-wide and always live, so genuine faults count even with no
   plan armed; the ``metrics`` verb surfaces them.
@@ -37,7 +37,6 @@ pool.chunk_slow         a worker chunk (sleeps ``CHUNK_SLOW_S``), for
                         deadline/soak testing
 kernel.vector_error     the vectorized mapping-search kernel, forcing
                         the vector -> scalar degradation
-cache.flush_io_error    the cache snapshot writer (``OSError``)
 store.write_io_error    the experiment store's write transaction
                         (``sqlite3.OperationalError``-shaped)
 netserve.conn_drop      TCP connection accept (the server drops the
@@ -70,7 +69,6 @@ INJECTION_POINTS = (
     "pool.worker_crash",
     "pool.chunk_slow",
     "kernel.vector_error",
-    "cache.flush_io_error",
     "store.write_io_error",
     "netserve.conn_drop",
 )
@@ -95,7 +93,6 @@ RECOVERY_COUNTERS = (
     "chunk_retries",
     "kernel_degradations",
     "serial_degradations",
-    "flush_errors",
     "store_write_retries",
     "conn_drops",
     "deadline_timeouts",
@@ -270,7 +267,6 @@ class FaultStats:
     chunk_retries: int = 0
     kernel_degradations: int = 0
     serial_degradations: int = 0
-    flush_errors: int = 0
     store_write_retries: int = 0
     conn_drops: int = 0
     deadline_timeouts: int = 0
@@ -321,7 +317,7 @@ def injected(plan: "Union[FaultPlan, str]"):
 
     The test/tool-side convenience mirroring ``Session(faults=...)``::
 
-        with faults.injected("cache.flush_io_error=1"):
+        with faults.injected("store.write_io_error=1"):
             ...
     """
     if isinstance(plan, str):
@@ -361,8 +357,7 @@ def maybe_raise(point: str, exc_type=InjectedFault) -> None:
     ``exc_type`` is called with the standard injected-fault message
     (``InjectedFault`` keeps the point attribute too), so a site can
     inject the exact exception shape its recovery path handles --
-    ``OSError`` for flush I/O, ``sqlite3.OperationalError`` for store
-    writes.
+    ``sqlite3.OperationalError`` for store writes.
     """
     if fire(point):
         if exc_type is InjectedFault:

@@ -27,7 +27,7 @@ A snapshot reports four sections:
 ``faults``
     The process-wide injection/recovery counters from
     :func:`repro.faults.stats` -- pool rebuilds, chunk retries,
-    degradations, flush errors survived -- so a chaos run (or a
+    degradations, store write retries -- so a chaos run (or a
     genuinely unlucky production run) is observable over the wire.
 """
 

@@ -33,8 +33,8 @@ the engine and a busy engine can never stall the event loop:
 Graceful shutdown (SIGTERM, SIGINT or the ``shutdown`` verb) closes
 the listener, lets the admission queue drain to empty, joins the
 workers, flushes every connection's outbox, and returns -- at which
-point the CLI closes the session, which is what flushes the persistent
-cache tier and finishes the experiment-store run.
+point the CLI closes the session, which is what commits queued store
+writes and finishes the experiment-store run.
 """
 
 from __future__ import annotations
@@ -173,7 +173,7 @@ class EvalServer:
     Owns no session of its own: the caller passes a
     :class:`~repro.service.dispatcher.BatchDispatcher` (and keeps
     responsibility for closing its session afterwards, which is what
-    flushes the cache file and finishes the recorded store run).
+    commits queued store writes and finishes the recorded store run).
     """
 
     def __init__(self, dispatcher: Optional[BatchDispatcher] = None,

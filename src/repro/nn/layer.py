@@ -112,10 +112,10 @@ class LayerShape:
 
     def __setstate__(self, state: dict) -> None:
         # Shapes pickled before the groups / dilation fields existed (an
-        # old persistent-cache snapshot or store blob) lack both; they
-        # load as the paper's implicit dense, undilated defaults.  Set
-        # item by item: ``dict.update`` from the pickled dict would copy
-        # its table and give every unpickled shape a larger dict.
+        # old store blob) lack both; they load as the paper's implicit
+        # dense, undilated defaults.  Set item by item: ``dict.update``
+        # from the pickled dict would copy its table and give every
+        # unpickled shape a larger dict.
         attributes = self.__dict__
         for name, value in state.items():
             attributes[name] = value

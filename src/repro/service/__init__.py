@@ -22,11 +22,11 @@ table and answers with a :class:`~repro.service.schema.QueryResult`,
 safely concurrent with a recording sweep thanks to the store's
 WAL-mode single-writer / multi-reader discipline.
 
-Persistence lives in :mod:`repro.service.persistence`
-(:func:`persistent_cache` + the ``REPRO_CACHE`` variable, and the
-``REPRO_STORE`` experiment-store fallback re-exported from
-:mod:`repro.store.db`): the warm cache survives process restarts,
-which is what makes repeated design-space retrospectives cheap.
+Answers survive process restarts in that store: a session built with
+``--store`` (or the ``REPRO_STORE`` fallback, :data:`STORE_ENV` and
+:func:`default_store_path`, re-exported from :mod:`repro.store.db`)
+answers a repeated grid from its warm tier, which is what makes
+repeated design-space retrospectives cheap.
 :mod:`repro.service.server` is the stdin/stdout JSON-lines loop behind
 ``repro serve``.
 """
@@ -35,13 +35,6 @@ from repro.service.dispatcher import (
     BatchDispatcher,
     equal_area_hardware,
     expand_request,
-)
-from repro.service.persistence import (
-    CACHE_ENV,
-    STORE_ENV,
-    default_cache_path,
-    default_store_path,
-    persistent_cache,
 )
 from repro.service.schema import (
     BatchRequest,
@@ -56,25 +49,23 @@ from repro.service.schema import (
     parse_requests,
 )
 from repro.service.server import serve
+from repro.store.db import STORE_ENV, default_store_path
 
 __all__ = [
     "BatchDispatcher",
     "BatchRequest",
     "BatchResult",
-    "CACHE_ENV",
     "CellResult",
     "DseRequest",
     "DseResult",
     "QueryRequest",
     "QueryResult",
     "STORE_ENV",
-    "default_cache_path",
     "default_store_path",
     "equal_area_hardware",
     "expand_request",
     "layer_from_dict",
     "layer_to_dict",
     "parse_requests",
-    "persistent_cache",
     "serve",
 ]

@@ -6,7 +6,7 @@ long-lived worker a parent process can feed over a pipe:
 .. code-block:: text
 
     $ printf '%s\n' '{"network": "alexnet-conv", "dataflows": ["RS"],
-      "pe_counts": [256], "batch": 1}' | repro serve --cache-file c.pkl
+      "pe_counts": [256], "batch": 1}' | repro serve --store s.db
     {"id": "req-1", "cells": [...], "cache": {...}, ...}
 
 Since the netserve refactor this loop is a thin transport: every line
@@ -33,8 +33,8 @@ answer with a terminal ``{"event": "error", "id": ..., "error": ...}``
 line and the next request is served normally.  Blank lines are ignored
 and EOF ends the loop.  So do Ctrl-C (``KeyboardInterrupt``) and a
 parent closing the pipe mid-session: both return the served count
-instead of raising, which lets the CLI context managers flush the
-cache snapshot and finish the store run on the way out -- an
+instead of raising, which lets the CLI context managers commit queued
+store writes and finish the store run on the way out -- an
 interrupted serve session exits 0 with its state intact.
 """
 
@@ -82,10 +82,10 @@ def serve(input_stream: IO[str], output_stream: IO[str],
                 break
     except KeyboardInterrupt:
         # Ctrl-C is a drain request, not a crash: stop reading and let
-        # the CLI's context managers flush cache + store normally.
+        # the CLI's context managers close the session normally.
         pass
     except BrokenPipeError:
-        pass  # the parent went away; drain and flush as on EOF
+        pass  # the parent went away; drain and close as on EOF
     except ValueError as exc:
         # A parent that closes the pipe mid-session makes the next
         # iteration raise "I/O operation on closed file"; treat it

@@ -10,7 +10,7 @@ Public surface:
 * :class:`~repro.store.db.StoreFormatError` -- raised for corrupt,
   foreign, or newer-than-this-build store files.
 * :func:`~repro.store.db.default_store_path` / :data:`STORE_ENV` -- the
-  ``REPRO_STORE`` environment fallback, mirroring ``REPRO_CACHE``.
+  ``REPRO_STORE`` environment fallback.
 
 See ``docs/EXPERIMENT_STORE.md`` for the schema diagram and the query
 cookbook.

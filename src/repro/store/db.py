@@ -1,9 +1,9 @@
 """The SQLite experiment store: a queryable system of record.
 
-The persistent cache tier used to be a flat pickle snapshot keyed only
-for reuse -- nothing was queryable across sessions, diffable between
-commits, or safe for concurrent readers.  :class:`ExperimentStore`
-replaces it with a normalized SQLite database:
+:class:`ExperimentStore` is the one place an evaluation outlives its
+process.  It keeps every answer queryable across sessions, diffable
+between commits and safe for concurrent readers in a normalized SQLite
+database:
 
 * ``runs`` -- one row per recording session, carrying provenance: the
   git commit SHA, the checked-in ``BENCH_perf.json`` record (when
@@ -77,7 +77,7 @@ SCHEMA_VERSION = 4
 STORE_FORMAT = "repro-experiment-store"
 
 #: Environment variable naming the default store file (the ``repro
-#: query``/``--store`` fallback, mirroring ``REPRO_CACHE``).
+#: query``/``--store`` fallback).
 STORE_ENV = "REPRO_STORE"
 
 #: The scalar metric columns shared by the live Result rows and the

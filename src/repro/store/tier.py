@@ -6,9 +6,9 @@ underneath the engine's in-memory LRU: lookups fall through LRU -> store
 and queued for the store.  :meth:`StoreTierCache.commit` writes the
 queue as one transaction, so an engine call pays for one store write,
 not one per layer evaluation, and a *second* recorded run of the same
-sweep rescores nothing even in a fresh process.  This replaces the old
-flat-pickle disk tier with a queryable one -- the same rows that answer
-warm lookups are the rows ``repro query`` reads.
+sweep rescores nothing even in a fresh process.  It is the only tier
+whose answers outlive the process, and a queryable one -- the same rows
+that answer warm lookups are the rows ``repro query`` reads.
 
 The engine only calls ``cache.get``/``cache.put`` and, at the end of
 each call, ``cache.commit()`` (a no-op on the plain LRU); where the

@@ -222,7 +222,9 @@ class ShapeGenerator:
         return HardwareConfig(
             num_pes=pes, array_h=h, array_w=w,
             rf_words_per_pe=rng.choice((64, 256, 512)),
-            buffer_words=rng.choice((2048, 16384, 54 * 1024)))
+            # 20,001 is odd, so a grouped partition's buffer share
+            # (``buffer_words // g_p``) rounds down.
+            buffer_words=rng.choice((2048, 16384, 20001, 54 * 1024)))
 
     def objective(self) -> str:
         """One of the built-in objectives, uniformly."""

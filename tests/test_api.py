@@ -382,45 +382,6 @@ class TestSession:
         with pytest.raises(ValueError, match="not both"):
             Session(cache=EvaluationCache(), max_cache_entries=32)
 
-    def test_no_cache_file_means_no_disk_tier(self, tmp_path, monkeypatch):
-        """Plain Session() must not pick up REPRO_CACHE implicitly;
-        ENV_CACHE opts in to the environment fallback."""
-        from repro.api import ENV_CACHE
-
-        path = tmp_path / "env.pkl"
-        monkeypatch.setenv("REPRO_CACHE", str(path))
-        with Session(parallel=False):
-            pass
-        assert not path.exists()
-        with Session(parallel=False, cache_file=ENV_CACHE):
-            pass
-        assert path.exists()
-
-    def test_cache_file_round_trip(self, tmp_path):
-        path = tmp_path / "api.pkl"
-        scenario = Scenario(workload="alexnet-fc", dataflows=("RS",),
-                            batches=(1,), pe_counts=(256,))
-        with Session(parallel=False, cache_file=path) as session:
-            cold = session.evaluate(scenario)
-        assert path.exists()
-        with Session(parallel=False, cache_file=path) as session:
-            before = session.cache.stats
-            warm = session.evaluate(scenario)
-            assert session.cache.stats.since(before).misses == 0
-        assert warm == cold
-
-    def test_corrupt_cache_file_quarantined_at_construction(self, tmp_path):
-        # The resilience contract: a corrupt snapshot is moved aside as
-        # <name>.corrupt-<ts> and the session starts cold instead of
-        # refusing to construct (docs/RESILIENCE.md).
-        path = tmp_path / "bad.pkl"
-        path.write_bytes(b"garbage")
-        with Session(cache_file=path, parallel=False) as session:
-            assert session.cache_stats.size == 0
-        assert list(tmp_path.glob("bad.pkl.corrupt-*"))
-        # The close flushed a fresh, valid snapshot under the old name.
-        assert path.exists()
-
     def test_default_session_shares_the_default_engine_cache(self):
         from repro.engine.core import default_engine
 

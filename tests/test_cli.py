@@ -141,14 +141,14 @@ class TestCliBatch:
         assert data["feasible_cells"] == 1
 
     def test_batch_warm_cache_across_processes(self, tmp_path, capsys):
-        """The tentpole workflow: a second run against the persisted
-        cache file answers entirely from disk."""
+        """A second run against the same experiment store answers
+        entirely from it."""
         spec = self.spec_file(tmp_path)
-        cache = str(tmp_path / "cache.pkl")
-        assert main(["batch", spec, "--serial", "--cache-file", cache,
+        store = str(tmp_path / "batch.db")
+        assert main(["batch", spec, "--serial", "--store", store,
                      "--json"]) == 0
         cold = json.loads(capsys.readouterr().out)
-        assert main(["batch", spec, "--serial", "--cache-file", cache,
+        assert main(["batch", spec, "--serial", "--store", store,
                      "--json"]) == 0
         warm = json.loads(capsys.readouterr().out)
         assert cold["cache"]["hit_rate"] == 0.0
@@ -188,19 +188,14 @@ class TestCliBatch:
         assert main(["batch", spec]) == 2
         assert "unknown network" in capsys.readouterr().err
 
-    def test_batch_corrupt_cache_file_quarantined(self, tmp_path, caplog):
-        # Resilience contract: a corrupt snapshot is quarantined aside
-        # with a warning and the run proceeds cold (and reflushes a
-        # clean snapshot on exit) instead of failing with exit 2.
-        cache = tmp_path / "corrupt.pkl"
-        cache.write_bytes(b"garbage")
+    def test_batch_cache_file_rejected_naming_store(self, tmp_path,
+                                                   capsys):
+        cache = tmp_path / "cache.pkl"
         assert main(["batch", self.spec_file(tmp_path), "--serial",
-                     "--cache-file", str(cache)]) == 0
-        assert any("quarantined" in record.message
-                   for record in caplog.records)
-        assert list(tmp_path.glob("corrupt.pkl.corrupt-*"))
-        from repro.engine.cache import read_snapshot
-        assert read_snapshot(cache)  # the reflushed snapshot is valid
+                     "--cache-file", str(cache)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "--store" in err
+        assert not cache.exists()
 
     def test_batch_max_cache_entries_bound(self, tmp_path, capsys):
         assert main(["batch", self.spec_file(tmp_path), "--serial",

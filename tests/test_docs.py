@@ -60,10 +60,10 @@ class TestDocsPages:
     def test_resilience_page_covers_the_fault_contract(self):
         text = (ROOT / "docs" / "RESILIENCE.md").read_text()
         for anchor in ("pool.worker_crash", "kernel.vector_error",
-                       "cache.flush_io_error", "store.write_io_error",
+                       "store.write_io_error",
                        "netserve.conn_drop", "pool.chunk_slow",
                        "REPRO_FAULTS", "FaultPlan", "FaultStats",
-                       "backoff", "bit-identical", "quarantined",
+                       "backoff", "bit-identical",
                        "chaos.py", "deadline_ms", "max_pool_retries"):
             assert anchor in text, \
                 f"RESILIENCE.md lost its {anchor} coverage"

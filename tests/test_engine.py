@@ -397,22 +397,6 @@ class TestEvaluationCache:
         assert len(cache) == 0
         assert cache.stats == type(cache.stats)(hits=0, misses=0, size=0)
 
-    def test_save_load_roundtrip(self, tmp_path):
-        engine = serial_engine()
-        engine.evaluate_layer(DATAFLOWS["RS"], LAYERS[0], hw_for("RS"))
-        path = tmp_path / "cache.pkl"
-        engine.cache.save(path)
-        restored = EvaluationCache.load(path)
-        assert len(restored) == len(engine.cache)
-        key = LayerJob(DATAFLOWS["RS"], LAYERS[0], hw_for("RS")).key
-        assert restored.get(key) == engine.cache.get(key)
-
-    def test_update_merges_entries(self):
-        a, b = EvaluationCache(), EvaluationCache()
-        b.put(self.key(), None)
-        a.update(b)
-        assert self.key() in a
-
 
 class TestEngineConfig:
     def test_invalid_executor_rejected(self):

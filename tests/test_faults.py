@@ -4,11 +4,11 @@ Unit coverage of :mod:`repro.faults` (plan grammar, deterministic and
 seeded-probabilistic firing, counters, backoff policy), then the
 recovery contract of each hardened layer: the engine's pool-rebuild /
 re-dispatch path under an injected ``BrokenProcessPool`` (bit-identical
-results), the vector -> scalar kernel degradation, crash-safe cache
-snapshot flushes and corrupt-snapshot quarantine, store write retries,
-a clean ``repro serve`` pipe-loop exit on Ctrl-C / closed stdin, and
-``Session`` teardown mid-stream (no leaked executor threads, the
-recorded run still finalized).
+results), the vector -> scalar kernel degradation, store write retries
+(a ``Session.close()`` whose last write fails still releases its pool,
+store and fault plan), a clean ``repro serve`` pipe-loop exit on
+Ctrl-C / closed stdin, and ``Session`` teardown mid-stream (no leaked
+executor threads, the recorded run still finalized).
 """
 
 import io
@@ -21,12 +21,11 @@ import pytest
 
 from repro import faults
 from repro.api import Scenario, Session
-from repro.engine import EngineConfig, EvaluationCache
-from repro.engine.cache import CacheKey, read_snapshot, write_snapshot
+from repro.engine import EngineConfig
+from repro.engine.cache import CacheKey
 from repro.faults import FaultPlan, FaultRule, FaultStats, InjectedFault
 from repro.nn.layer import conv_layer
-from repro.service import persistence
-from repro.store.db import ExperimentStore
+from repro.store.db import WRITE_ATTEMPTS, ExperimentStore
 
 LAYERS = (conv_layer("F1", H=10, R=3, E=8, C=4, M=8, N=1),)
 GRID = dict(workload=LAYERS, dataflows=("RS",), pe_counts=(16, 32, 64),
@@ -163,12 +162,14 @@ class TestModuleSurface:
         assert faults.active() is outer
 
     def test_maybe_raise_default_and_custom_type(self):
-        with faults.injected("cache.flush_io_error=2"):
+        with faults.injected("store.write_io_error=2"):
             with pytest.raises(InjectedFault) as err:
-                faults.maybe_raise("cache.flush_io_error")
-            assert err.value.point == "cache.flush_io_error"
-            with pytest.raises(OSError, match="injected fault"):
-                faults.maybe_raise("cache.flush_io_error", OSError)
+                faults.maybe_raise("store.write_io_error")
+            assert err.value.point == "store.write_io_error"
+            with pytest.raises(sqlite3.OperationalError,
+                               match="injected fault"):
+                faults.maybe_raise("store.write_io_error",
+                                   sqlite3.OperationalError)
 
     def test_fire_counts_into_stats(self):
         with faults.injected("pool.chunk_slow=3"):
@@ -287,55 +288,6 @@ class TestKernelDegradation:
         assert degraded == baseline  # scalar path is parity-held
 
 
-class TestCrashSafeSnapshots:
-    def entries(self):
-        cache = EvaluationCache()
-        with Session(cache=cache, parallel=False) as session:
-            session.evaluate(Scenario(**GRID))
-            return cache.snapshot()
-
-    def test_failed_write_leaves_previous_snapshot(self, tmp_path):
-        path = tmp_path / "cache.pkl"
-        entries = self.entries()
-        write_snapshot(path, entries)
-        before = path.read_bytes()
-        with faults.injected("cache.flush_io_error=1"):
-            with pytest.raises(OSError):
-                write_snapshot(path, {})
-        assert path.read_bytes() == before
-        assert list(tmp_path.iterdir()) == [path]  # no leftover temp
-
-    def test_flush_retries_then_succeeds(self, tmp_path):
-        path = tmp_path / "cache.pkl"
-        cache = EvaluationCache()
-        with Session(cache=cache, parallel=False) as session:
-            session.evaluate(Scenario(**GRID))
-        with faults.injected("cache.flush_io_error=1"):
-            persistence.flush(cache, path)
-        assert faults.stats().flush_errors == 1
-        assert read_snapshot(path) == cache.snapshot()
-
-    def test_flush_swallows_persistent_failure(self, tmp_path, caplog):
-        path = tmp_path / "cache.pkl"
-        entries = self.entries()
-        write_snapshot(path, entries)
-        with faults.injected(
-                f"cache.flush_io_error={persistence.FLUSH_ATTEMPTS}"):
-            persistence.flush(EvaluationCache(), path)  # must not raise
-        assert faults.stats().flush_errors == persistence.FLUSH_ATTEMPTS
-        assert read_snapshot(path) == entries  # previous snapshot intact
-
-    def test_corrupt_snapshot_quarantined_and_run_continues(self, tmp_path):
-        path = tmp_path / "cache.pkl"
-        path.write_bytes(b"not a pickle at all")
-        cache = EvaluationCache()
-        assert persistence.load_into(cache, path) == 0
-        assert not path.exists()
-        quarantined = list(tmp_path.glob("cache.pkl.corrupt-*"))
-        assert len(quarantined) == 1
-        assert quarantined[0].read_bytes() == b"not a pickle at all"
-
-
 class TestStoreWriteRetry:
     def test_injected_write_error_is_retried(self, tmp_path):
         with faults.injected("store.write_io_error=1"):
@@ -346,13 +298,34 @@ class TestStoreWriteRetry:
         assert faults.stats().store_write_retries >= 1
 
     def test_persistent_write_error_finally_raises(self, tmp_path):
-        from repro.store.db import WRITE_ATTEMPTS
-
         with faults.injected(f"store.write_io_error={WRITE_ATTEMPTS}"):
             with ExperimentStore(tmp_path / "s.db") as store:
                 with pytest.raises(sqlite3.OperationalError):
                     store.begin_run(label="doomed")
         assert faults.stats().store_write_retries == WRITE_ATTEMPTS - 1
+
+    def test_close_releases_everything_when_its_last_write_fails(
+            self, tmp_path):
+        """``finish_run`` failing every attempt inside ``close()`` still
+        shuts the owned pool, closes the owned store and restores the
+        plan armed before the session; the write's error propagates."""
+        earlier = FaultPlan.from_spec("netserve.conn_drop=1")
+        faults.arm(earlier)
+        config = EngineConfig(parallel=True, executor="thread",
+                              max_workers=2)
+        # The session arms a plan of its own (one that never fires).
+        session = Session(engine_config=config, store=tmp_path / "s.db",
+                          record=True, faults="pool.chunk_slow=1@1000")
+        session.evaluate(Scenario(**GRID))
+        assert session.engine._pool is not None
+        faults.arm(FaultPlan.from_spec(
+            f"store.write_io_error={WRITE_ATTEMPTS}"))
+        with pytest.raises(sqlite3.OperationalError):
+            session.close()
+        assert faults.active() is earlier
+        assert session.engine._pool is None
+        with pytest.raises(sqlite3.ProgrammingError):
+            session._store._writer.execute("SELECT 1")
 
     def test_mid_batch_failure_leaves_nothing_and_retry_lands_all(
             self, tmp_path, monkeypatch):

@@ -2,9 +2,8 @@
 
 Pins the service contract: schema round-trips and validation, grid
 expansion into deduplicated engine jobs, parity between the dispatcher
-path and direct engine evaluation, per-request cache accounting, the
-persistent disk tier (load/merge/flush across "restarts"), and the
-JSON-lines serve loop including its error answers.
+path and direct engine evaluation, per-request cache accounting, and
+the JSON-lines serve loop including its error answers.
 """
 
 import io
@@ -21,7 +20,6 @@ from repro.service import (
     equal_area_hardware,
     expand_request,
     parse_requests,
-    persistent_cache,
     serve,
 )
 from repro.service.schema import layer_from_dict, layer_to_dict
@@ -30,21 +28,6 @@ from repro.service.schema import DseRequest, QueryRequest
 
 def serial_engine() -> EvaluationEngine:
     return EvaluationEngine(EngineConfig(parallel=False), EvaluationCache())
-
-
-def synthetic_key(i: int):
-    from repro.engine import CacheKey
-    from repro.service import equal_area_hardware
-
-    return CacheKey("RS", alexnet_conv_layers(1)[0],
-                    equal_area_hardware("RS", 256), f"energy-{i}")
-
-
-def synthetic_cache(n: int, max_entries=None) -> EvaluationCache:
-    cache = EvaluationCache(max_entries=max_entries)
-    for i in range(n):
-        cache.put(synthetic_key(i), None)
-    return cache
 
 
 def tiny_request(**overrides) -> BatchRequest:
@@ -196,93 +179,6 @@ class TestDispatcher:
         assert set(data["cache"]) == {"hits", "store_hits", "misses",
                                       "hit_rate", "size", "evictions"}
         json.dumps(data)  # must be JSON-serializable as-is
-
-
-class TestPersistentCache:
-    def test_cold_then_warm_across_restarts(self, tmp_path):
-        path = tmp_path / "service.pkl"
-        request = tiny_request()
-        with persistent_cache(path) as cache:
-            engine = EvaluationEngine(EngineConfig(parallel=False), cache)
-            cold = BatchDispatcher(engine).run(request)
-        assert path.exists()
-        # "Restart": a fresh cache object re-loads the snapshot.
-        with persistent_cache(path) as cache:
-            engine = EvaluationEngine(EngineConfig(parallel=False), cache)
-            warm = BatchDispatcher(engine).run(request)
-        assert cold.cache.hit_rate == 0.0
-        assert warm.cache.hit_rate == 1.0
-        assert [c.to_dict() for c in warm.cells] == [
-            c.to_dict() for c in cold.cells]
-
-    def test_flush_merges_with_concurrent_writer(self, tmp_path):
-        path = tmp_path / "shared.pkl"
-        with persistent_cache(path) as cache:
-            engine = EvaluationEngine(EngineConfig(parallel=False), cache)
-            BatchDispatcher(engine).run(tiny_request())
-            # Another process flushes different entries mid-session.
-            other = EvaluationCache()
-            eng2 = EvaluationEngine(EngineConfig(parallel=False), other)
-            BatchDispatcher(eng2).run(tiny_request(network="alexnet-fc"))
-            other.save(path)
-        merged = EvaluationCache.load(path)
-        conv = len(alexnet_conv_layers(1))
-        assert len(merged) == conv + 3  # CONV entries + 3 FC entries
-
-    def test_no_path_means_in_memory_only(self, tmp_path, monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        monkeypatch.delenv("REPRO_CACHE", raising=False)
-        with persistent_cache(None) as cache:
-            assert len(cache) == 0
-        assert list(tmp_path.iterdir()) == []
-
-    def test_repro_cache_env_names_the_default(self, tmp_path, monkeypatch):
-        path = tmp_path / "env.pkl"
-        monkeypatch.setenv("REPRO_CACHE", str(path))
-        with persistent_cache() as cache:
-            assert len(cache) == 0
-        assert path.exists()
-
-    def test_load_honors_the_callers_bound(self, tmp_path, monkeypatch):
-        """Regression: the snapshot used to pass through an intermediate
-        cache with the *default* bound, silently evicting entries even
-        when the caller configured a larger one."""
-        from repro.service.persistence import load_into
-
-        path = tmp_path / "big.pkl"
-        synthetic_cache(10, max_entries=16).save(path)
-        monkeypatch.setenv("REPRO_CACHE_MAX_ENTRIES", "5")  # small default
-        target = EvaluationCache(max_entries=16)
-        assert load_into(target, path) == 10
-        assert len(target) == 10  # not clipped to the env default of 5
-
-    def test_flush_keeps_fresh_entries_over_stale_disk(self, tmp_path):
-        """Regression: flush used to merge disk entries as most-recent,
-        evicting the current run's results when the union overflowed."""
-        from repro.service.persistence import flush
-
-        path = tmp_path / "tight.pkl"
-        synthetic_cache(2, max_entries=4).save(path)  # stale: keys 0, 1
-        live = EvaluationCache(max_entries=2)
-        live.put(synthetic_key(2), None)              # fresh: keys 2, 3
-        live.put(synthetic_key(3), None)
-        flush(live, path)
-        merged = EvaluationCache.load(path)
-        assert synthetic_key(2) in merged and synthetic_key(3) in merged
-        assert synthetic_key(0) not in merged
-        assert synthetic_key(1) not in merged
-        assert len(live) == 2  # the live cache itself was not mutated
-
-    def test_flush_unions_when_the_bound_allows(self, tmp_path):
-        from repro.service.persistence import flush
-
-        path = tmp_path / "roomy.pkl"
-        synthetic_cache(2, max_entries=8).save(path)  # keys 0, 1
-        live = EvaluationCache(max_entries=8)
-        live.put(synthetic_key(2), None)
-        flush(live, path)
-        assert sorted(k.objective for k in EvaluationCache.load(path).keys()
-                      ) == [synthetic_key(i).objective for i in range(3)]
 
 
 class TestServeLoop:

@@ -3,17 +3,18 @@
 
 The fault-injection framework (:mod:`repro.faults`) claims the hardened
 layers *recover*, not merely survive: a sweep that absorbs worker
-crashes, vector-kernel failures, flush I/O errors and store write
-errors must still record bit-identical cells.  This driver holds the
-repo to that claim end to end:
+crashes, vector-kernel failures and store write errors must still
+record bit-identical cells.  This script holds the repo to that claim
+end to end:
 
 1. **Chaos sweep** (cold, recorded).  A seeded :class:`FaultPlan`
    injects at least one process-pool worker crash (mid parallel
-   dispatch), one vectorized-kernel error (mid serial dispatch), one
-   store write error (first write transaction) and one cache-snapshot
-   flush error (at close) into one recorded sweep.  The run must
-   complete, and the injection/recovery counters must show every fault
-   actually fired and was recovered.
+   dispatch), one vectorized-kernel error (mid serial dispatch) and one
+   store write error (first write transaction) into one recorded
+   sweep; a second store write error hits the write ``Session.close()``
+   makes (``finish_run``).  The run must complete and read as finished
+   with all its cells, and the injection/recovery counters must show
+   every fault actually fired and was recovered.
 
 2. **Reference sweep** (fault-free, independent).  The same grid runs
    serially in a storeless session -- a fresh cache, no fault plan --
@@ -81,7 +82,7 @@ SERIAL_GRID = dict(workload=LAYERS, dataflows=("OSA",),
 
 #: The deterministic chaos plan: every named fault fires at least once.
 CHAOS_RULES = ("pool.worker_crash=1,kernel.vector_error=1,"
-               "cache.flush_io_error=1,store.write_io_error=1")
+               "store.write_io_error=1")
 
 
 def chaos_plan(seed) -> FaultPlan:
@@ -99,27 +100,36 @@ def run_sweep(session: Session):
     return list(parallel) + list(serial)
 
 
-def check_sweep_recovery(seed, store_path: Path, cache_path: Path):
+def check_sweep_recovery(seed, store_path: Path):
     """Phase 1+2: the faulted sweep vs its independent fault-free twin."""
+    from repro.store.db import ExperimentStore
+
     faults.reset_stats()
     config = EngineConfig(parallel=True, executor="process",
                           max_workers=2, chunk_size=2)
     with Session(engine_config=config, store=store_path,
-                 record="chaos-faulted", cache_file=cache_path,
+                 record="chaos-faulted",
                  faults=chaos_plan(seed)) as session:
         chaos_rows = run_sweep(session)
-    # The flush fault fires inside close(); read the counters after.
+        # The next store write is the one close() makes (finish_run);
+        # fail it once.  close() then restores the plan armed before.
+        faults.arm(FaultPlan.from_spec("store.write_io_error=1"))
+    # The close-time fault fires inside close(); read the counters after.
     stats = faults.stats()
     injected = stats.injected
     for point in ("pool.worker_crash", "kernel.vector_error",
-                  "cache.flush_io_error", "store.write_io_error"):
+                  "store.write_io_error"):
         assert injected.get(point, 0) >= 1, (
             f"plan never fired {point}: {injected}")
     assert stats.pool_rebuilds >= 1, stats.to_dict()
     assert stats.chunk_retries >= 1, stats.to_dict()
     assert stats.kernel_degradations >= 1, stats.to_dict()
-    assert stats.flush_errors >= 1, stats.to_dict()
-    assert stats.store_write_retries >= 1, stats.to_dict()
+    assert stats.store_write_retries >= 2, stats.to_dict()
+    with ExperimentStore(store_path) as store:
+        (run,) = [run for run in store.runs()
+                  if run.label == "chaos-faulted"]
+    assert run.finished_at is not None, run
+    assert run.n_cells == len(chaos_rows), run
     print(f"chaos sweep: {len(chaos_rows)} cells recorded through "
           f"{stats.total_injected} injected faults "
           f"({stats.pool_rebuilds} pool rebuild(s), "
@@ -268,9 +278,7 @@ def main(argv=None) -> int:
     start = time.perf_counter()
     with tempfile.TemporaryDirectory() as tmp:
         store_path = Path(tmp) / "chaos.sqlite"
-        cache_path = Path(tmp) / "chaos-cache.pkl"
-        reference_rows = check_sweep_recovery(args.seed, store_path,
-                                              cache_path)
+        reference_rows = check_sweep_recovery(args.seed, store_path)
         check_store_diff(store_path, reference_rows)
         check_server_chaos(args.seed)
     print(f"chaos soak passed in {time.perf_counter() - start:.1f}s")
