@@ -497,10 +497,13 @@ class Session:
         variable); the engine cache then becomes a
         :class:`~repro.store.tier.StoreTierCache`, so recorded
         evaluations answer future sweeps as a warm tier.  ``record=``
-        (``True``, or a string run label) additionally writes every
+        (``True``, or a string run label) additionally records every
         cell :meth:`evaluate`/:meth:`stream`/:meth:`explore` completes
         into the store's ``cells`` table under a provenance-stamped
         run -- the rows ``repro query`` and ``repro diff`` read.  The
+        tier (:attr:`cache`) queues each row before it is yielded and
+        writes it with the engine call's one commit, so a row is in the
+        store by the time the call that produced it has ended.  The
         store is the only tier whose answers outlive the process.
     ``engine``
         Wrap an existing engine instead of building one (the default
@@ -533,11 +536,7 @@ class Session:
         self._owns_store = False
         self._fault_previous: Optional[FaultPlan] = None
         self._faults_armed = False
-        self._record_label: Optional[str] = (
-            record if isinstance(record, str) else None)
-        self._recording = bool(record)
-        self._run_id: Optional[int] = None
-        self._run_lock = None
+        self._recorder = None  # the StoreTierCache, when recording
         if engine is not None:
             if any(option is not None for option in
                    (parallel, executor, workers, cache, max_cache_entries,
@@ -556,7 +555,7 @@ class Session:
             if parallel is not None:
                 config = replace(config, parallel=parallel)
             self._store, self._owns_store = self._resolve_store(store)
-            if self._recording and self._store is None:
+            if record and self._store is None:
                 raise ValueError(
                     "record=True needs a store (pass store=..., or "
                     "store=ENV_STORE with REPRO_STORE set)")
@@ -567,7 +566,10 @@ class Session:
                         "both (the store provides the warm cache tier)")
                 from repro.store.tier import StoreTierCache
                 cache = StoreTierCache(self._store,
-                                       max_entries=max_cache_entries)
+                                       max_entries=max_cache_entries,
+                                       record=record)
+                if record:
+                    self._recorder = cache
             elif cache is None:
                 cache = EvaluationCache(max_entries=max_cache_entries)
             elif max_cache_entries is not None:
@@ -576,9 +578,6 @@ class Session:
                     "not both (the cache carries its own bound)")
             self._engine = EvaluationEngine(config, cache)
             self._owns_engine = True
-        if self._recording:
-            import threading
-            self._run_lock = threading.Lock()
         if faults is not None:
             # Armed last, once construction cannot fail anymore, so an
             # invalid session never leaves a stray plan armed.
@@ -640,109 +639,41 @@ class Session:
     @property
     def recording(self) -> bool:
         """Whether evaluated cells are being written to the store."""
-        return self._recording
+        return self._recorder is not None
 
     @property
     def run_id(self) -> Optional[int]:
-        """The active recorded run's id (None before the first write)."""
-        return self._run_id
+        """The recorded run's id (None until its first commit lands)."""
+        return None if self._recorder is None else self._recorder.run_id
 
     # -- recording ------------------------------------------------------
-
-    def _ensure_run(self) -> int:
-        """Open the provenance-stamped run on the first recorded write."""
-        with self._run_lock:
-            if self._run_id is None:
-                self._run_id = self._store.begin_run(
-                    label=self._record_label)
-                cache = self._engine.cache
-                if hasattr(cache, "run_id"):
-                    cache.run_id = self._run_id
-            return self._run_id
-
-    def _record_rows(self, rows, kind: str = "grid",
-                     space_fp: Optional[str] = None) -> None:
-        """Write result rows into the store's recorded run (if any)."""
-        if not self._recording:
-            return
-        self._store.record_cells(self._ensure_run(), rows, kind=kind,
-                                 space_fp=space_fp)
-
-    def record_dse_candidates(self, candidates,
-                              space_fp: Optional[str] = None) -> None:
-        """Record evaluated DSE candidates (no-op unless recording).
-
-        Called by :func:`repro.dse.explore_stream` as each chunk
-        completes, so ``Session.explore`` runs land in the store's
-        ``cells`` table (``kind='dse'``) alongside grid cells, with
-        their geometry/buffer/area columns filled.  ``space_fp`` tags
-        the rows with the design space's fingerprint (plus each row's
-        expansion index), which is what makes a later ``resume=True``
-        able to skip them.
-        """
-        self._record_rows(candidates, kind="dse", space_fp=space_fp)
-
-    def checkpoint_exploration(self, space_fp: str, space, *,
-                               total: int, done: int) -> None:
-        """Checkpoint a streamed exploration (no-op unless recording).
-
-        Upserts the store's ``explorations`` row for ``space_fp``:
-        candidates planned vs. recorded so far, plus the canonical
-        space description as JSON for introspection.  Called by
-        :func:`repro.dse.explore_stream` at the start and after every
-        chunk.
-        """
-        if not self._recording:
-            return
-        import json as _json
-
-        describe = getattr(space, "describe_dict", None)
-        space_json = (_json.dumps(describe(), sort_keys=True)
-                      if describe is not None else None)
-        self._store.checkpoint_exploration(
-            space_fp, self._ensure_run(), total=total, done=done,
-            space_json=space_json)
 
     def resume_exploration(self, space_fp: str):
         """The already-recorded candidates of one exploration.
 
-        Reads every ``cells`` row tagged with ``space_fp`` (deduplicated
-        by expansion index) back as :class:`repro.dse.DseCandidate`
-        rows, ready to rebuild the incremental frontier; returns an
-        empty tuple when nothing was recorded yet.  Raises
-        ``ValueError`` on a non-recording session -- resume without a
-        store has nothing to resume from.
+        Commits what this session still has queued, then reads every
+        ``cells`` row tagged with ``space_fp`` (deduplicated by
+        expansion index) back as :class:`repro.dse.DseCandidate` rows,
+        ready to rebuild the incremental frontier; returns an empty
+        tuple when nothing was recorded yet.  Raises ``ValueError`` on
+        a non-recording session -- resume without a store has nothing
+        to resume from.
         """
-        if not self._recording:
+        if self._recorder is None:
             raise ValueError(
                 "resume needs a recording session: construct the Session "
                 "with store=... and record=True (or --store/--record)")
         from repro.dse import DseCandidate  # lazy: dse imports us
 
+        self._recorder.commit()
         rows = []
         for cell in self._store.exploration_cells(space_fp):
-            payload = {
-                "workload": cell["workload"],
-                "dataflow": cell["dataflow"],
-                "batch": cell["batch"],
-                "objective": cell["objective"],
-                "array_h": cell["array_h"],
-                "array_w": cell["array_w"],
-                "num_pes": cell["num_pes"],
-                "rf_bytes_per_pe": cell["rf_bytes_per_pe"],
-                "buffer_bytes": cell["buffer_bytes"],
-                "area": cell["area"],
-                "feasible": cell["feasible"],
-                "index": cell["cand_index"],
-            }
-            if cell["feasible"]:
-                payload.update({
-                    name: cell[name]
-                    for name in ("energy_per_op", "delay_per_op",
-                                 "edp_per_op", "dram_reads_per_op",
-                                 "dram_writes_per_op",
-                                 "dram_accesses_per_op")})
-            rows.append(DseCandidate(**payload))
+            names = ("workload", "dataflow", "batch", "objective", "array_h",
+                     "array_w", "num_pes", "rf_bytes_per_pe",
+                     "buffer_bytes", "area", "feasible",
+                     *(METRICS if cell["feasible"] else ()))
+            rows.append(DseCandidate(index=cell["cand_index"],
+                                     **{name: cell[name] for name in names}))
         return tuple(rows)
 
     # ------------------------------------------------------------------
@@ -754,18 +685,12 @@ class Session:
         A parallel session answers the grid as one deduplicated engine
         batch; a serial one answers it cell by cell, each cell its own
         batch, so a layer an earlier cell computed is a cache hit.  Rows
-        come back in grid order (dataflows x batches x hardware points).
-        ``parallel`` overrides the session's pool policy for this call
-        only.
+        come back in grid order (dataflows x batches x hardware points):
+        :meth:`stream_indexed`, collected.  ``parallel`` overrides the
+        session's pool policy for this call only.
         """
-        cells = scenario.cells()
-        evaluations = self._engine.evaluate_networks(
-            [cell.job for cell in cells], parallel=parallel)
-        results = ResultSet(tuple(
-            Result.from_evaluation(cell, evaluation)
-            for cell, evaluation in zip(cells, evaluations)))
-        self._record_rows(results.rows)
-        return results
+        done = dict(self.stream_indexed(scenario, parallel=parallel))
+        return ResultSet(tuple(done[index] for index in range(len(done))))
 
     def stream(self, scenario: Scenario,
                parallel: Optional[bool] = None) -> Iterator[Result]:
@@ -789,13 +714,17 @@ class Session:
         order.  Consumers that must reassemble the grid-ordered
         :class:`ResultSet` (the service's streamed ``evaluate`` verb,
         for one) use the index to slot completion-order rows back into
-        place without re-sorting by field values.
+        place without re-sorting by field values.  A recording session
+        queues each row before yielding it; the engine call's closing
+        commit writes them, even when the stream is abandoned.
         """
         cells = scenario.cells()
+        recorder = self._recorder
         for index, evaluation in self._engine.evaluate_networks_stream(
                 [cell.job for cell in cells], parallel=parallel):
             result = Result.from_evaluation(cells[index], evaluation)
-            self._record_rows((result,))
+            if recorder is not None:
+                recorder.record((result,))
             yield index, result
 
     def explore(self, space, parallel: Optional[bool] = None, *,
@@ -849,8 +778,8 @@ class Session:
         self._closed = True
         try:
             self._engine.cache.commit()
-            if self._run_id is not None:
-                self._store.finish_run(self._run_id)
+            if self.run_id is not None:
+                self._store.finish_run(self.run_id)
         finally:
             if self._owns_engine:
                 self._engine.close()

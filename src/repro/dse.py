@@ -42,8 +42,9 @@ question:
   path, in chunks of ``NetworkJob`` cells, so every repeated (dataflow,
   layer, hardware, objective) sub-problem hits the engine's cache
   tiers: a warm re-exploration computes nothing.  Recording sessions
-  persist each candidate into the experiment store *as it completes*
-  and checkpoint progress under the space's fingerprint, so an
+  persist each candidate into the experiment store with its chunk, in
+  the one transaction that lands the chunk's evaluations and the
+  checkpoint of progress under the space's fingerprint, so an
   interrupted exploration resumes from the store (``resume=True``)
   instead of restarting.
 
@@ -998,13 +999,14 @@ def explore_stream(space: DesignSpace, *, session=None,
       ``total`` / ``frontier`` / ``elapsed_s``;
     - ``("result", ParetoSet)`` exactly once, last.
 
-    Recording sessions persist each chunk's rows into the experiment
-    store as they complete (tagged with the space fingerprint and
-    expansion index) and checkpoint progress after every chunk;
-    ``resume=True`` then rebuilds the frontier from the store's rows
-    for this space and skips their indices -- an interrupted
-    exploration continues instead of restarting (requires a recording
-    session; raises ``ValueError`` otherwise).
+    A recording session queues each row (tagged with the space
+    fingerprint and expansion index) with the checkpoint that counts
+    it before the row is yielded, so the chunk's engine call writes its
+    evaluations, cells and checkpoint in one commit, before the
+    ``progress`` event.  ``resume=True`` then rebuilds the frontier
+    from the store's rows for this space and skips their indices -- an
+    interrupted exploration continues instead of restarting (requires a
+    recording session; raises ``ValueError`` otherwise).
 
     ``keep_candidates`` controls whether every evaluated row is
     retained in the returned :class:`ParetoSet` (``None`` keeps them
@@ -1028,21 +1030,17 @@ def explore_stream(space: DesignSpace, *, session=None,
                               keep_candidates=keep_candidates)
     done_indices: frozenset = frozenset()
     if resume:
-        resumer = getattr(session, "resume_exploration", None)
-        if resumer is None:
-            raise ValueError(
-                "resume=True needs a recording session backed by an "
-                "experiment store")
-        previous = resumer(fingerprint)
+        previous = session.resume_exploration(fingerprint)
         for row in previous:
             frontier.insert(row)
         done_indices = frozenset(row.index for row in previous)
     layers = space.layers()
-    recorder = getattr(session, "record_dse_candidates", None)
-    checkpoint = getattr(session, "checkpoint_exploration", None)
-    if checkpoint is not None:
-        checkpoint(fingerprint, space, total=total,
-                   done=frontier.evaluated)
+    recorder = session.cache if session.recording else None
+    if recorder is not None:
+        # Described once: every queued checkpoint carries this text.
+        space_json = json.dumps(space.describe_dict(), sort_keys=True)
+        recorder.record((), fingerprint,
+                        (total, frontier.evaluated, space_json))
     started = time.perf_counter()
 
     def batches() -> Iterator[List[Tuple[int, str, DesignPoint]]]:
@@ -1062,22 +1060,16 @@ def explore_stream(space: DesignSpace, *, session=None,
         jobs = [NetworkJob(get_dataflow(dataflow), layers, point.hardware,
                            space.objective)
                 for _index, dataflow, point in batch]
-        rows: List[DseCandidate] = []
         for job_index, evaluation in session.engine.evaluate_networks_stream(
                 jobs, parallel=parallel):
             index, dataflow, point = batch[job_index]
             row = DseCandidate.from_evaluation(space, dataflow, point,
                                                evaluation, index=index)
             frontier.insert(row)
-            rows.append(row)
+            if recorder is not None:
+                recorder.record((row,), fingerprint,
+                                (total, frontier.evaluated, space_json))
             yield "candidate", row
-        if recorder is not None:
-            # Recording sessions persist every evaluated candidate (not
-            # just the frontier) into the experiment store's cells table.
-            recorder(rows, space_fp=fingerprint)
-        if checkpoint is not None:
-            checkpoint(fingerprint, space, total=total,
-                       done=frontier.evaluated)
         yield "progress", {
             "done": frontier.evaluated,
             "total": total,

@@ -26,8 +26,9 @@ business: a plain :class:`~repro.engine.cache.EvaluationCache` is the
 in-memory LRU (its ``commit`` does nothing), and a
 :class:`~repro.store.tier.StoreTierCache` (what ``Session(store=...)``
 installs) falls through to the SQLite experiment store on an LRU miss
-and queues computed evaluations until ``commit`` writes them in one
-transaction -- warm runs then survive process restarts without the
+and queues computed evaluations -- and a recording session's result
+rows and DSE checkpoints -- until ``commit`` writes them in one
+transaction: warm runs then survive process restarts without the
 engine knowing a database exists.  The commit points are the end of
 :meth:`EvaluationEngine.evaluate_networks_stream` (exhausted, abandoned
 or failed), where every entry point ends, and each pool chunk's
@@ -564,7 +565,7 @@ class EvaluationEngine:
         what lets :meth:`repro.api.Session.stream` hand callers early
         rows without waiting on the whole grid.  The stream commits the
         cache when it ends, whether exhausted, abandoned or failed, so
-        what it computed persists.
+        what it computed persists, with every row its caller recorded.
 
         The call's inline searches share one
         :class:`~repro.mapping.optimizer.SearchMemo`, created here and

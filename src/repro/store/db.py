@@ -25,7 +25,7 @@ database:
 
 Concurrency follows the single-writer / multi-reader WAL discipline:
 one writer connection per store instance, guarded by a lock (the
-``Session.stream`` completion callbacks write from pool threads), and
+store tier also commits from pool completion callbacks), and
 every reading thread gets its own connection -- in WAL mode readers
 never block on the writer, which is what makes the store safe to query
 while a service-tier sweep is streaming cells into it.
@@ -148,6 +148,12 @@ def bench_provenance(cwd: Optional[Path] = None) -> Optional[str]:
         return json.dumps(json.loads(path.read_text()), sort_keys=True)
     except (OSError, ValueError):
         return None
+
+
+def run_provenance() -> Tuple[str, Optional[str]]:
+    """A new run's ``(commit SHA, BENCH record)``; runs git, so never
+    call it inside a write transaction."""
+    return current_commit(), bench_provenance()
 
 
 # ----------------------------------------------------------------------
@@ -438,7 +444,7 @@ class ExperimentStore:
     """A normalized, WAL-mode SQLite experiment database.
 
     One instance owns one *writer* connection, serialized by a lock
-    (``Session.stream`` records cells from pool completion threads);
+    (the store tier also commits from pool completion threads);
     every reading thread lazily opens its own connection, so queries
     are safe while a sweep is being recorded -- in-process and from
     other processes alike.
@@ -668,15 +674,24 @@ class ExperimentStore:
         injected ``store.write_io_error`` -- is retried up to
         :data:`WRITE_ATTEMPTS` times with capped jittered backoff
         (counted as ``store_write_retries`` in ``repro.faults`` stats)
-        before propagating.
+        before propagating.  A call made while this thread's transaction
+        is open joins it (the store tier's commit lands all its writes
+        this way): one lock, retry loop and fault point.
         """
+        joined = getattr(self._local, "txn", None)
+        if joined is not None:
+            return body(joined)
         last: Optional[sqlite3.OperationalError] = None
         for attempt in range(1, WRITE_ATTEMPTS + 1):
             try:
                 with self._write_lock, self._writer as conn:
                     faults.maybe_raise("store.write_io_error",
                                        sqlite3.OperationalError)
-                    return body(conn)
+                    self._local.txn = conn
+                    try:
+                        return body(conn)
+                    finally:
+                        self._local.txn = None
             except sqlite3.OperationalError as exc:
                 last = exc
                 if attempt < WRITE_ATTEMPTS:
@@ -691,13 +706,18 @@ class ExperimentStore:
     # -- runs -----------------------------------------------------------
 
     def begin_run(self, label: Optional[str] = None,
-                  command: Optional[str] = None) -> int:
-        """Open a new run, capturing commit + BENCH provenance eagerly."""
+                  command: Optional[str] = None, *,
+                  provenance: Optional[Tuple[str, Optional[str]]] = None
+                  ) -> int:
+        """Open a new run stamped with :func:`run_provenance` (passed
+        in, or captured here before the write transaction)."""
+        commit_sha, bench_json = provenance or run_provenance()
+
         def body(conn: sqlite3.Connection) -> int:
             cursor = conn.execute(
                 "INSERT INTO runs (label, command, commit_sha, bench_json,"
                 " schema_version, started_at) VALUES (?, ?, ?, ?, ?, ?)",
-                (label, command, current_commit(), bench_provenance(),
+                (label, command, commit_sha, bench_json,
                  SCHEMA_VERSION, _utc_now()))
             return cursor.lastrowid
         return self._write_txn(body)
@@ -875,6 +895,28 @@ class ExperimentStore:
         *CELL_METRICS, "array_h", "array_w", "buffer_bytes", "area",
         "cand_index", "space_fp", "commit_sha",
     )
+    #: The read behind :meth:`query_cells` and :meth:`exploration_cells`.
+    _CELL_SELECT = (
+        "SELECT c.cell_id, c.run_id, c.kind, c.workload, d.name,"
+        " c.batch, c.num_pes, c.rf_bytes_per_pe, o.name, c.feasible,"
+        " c.energy_per_op, c.delay_per_op, c.edp_per_op,"
+        " c.dram_reads_per_op, c.dram_writes_per_op,"
+        " c.dram_accesses_per_op, c.array_h, c.array_w,"
+        " c.buffer_bytes, c.area, c.cand_index, c.space_fp,"
+        " r.commit_sha "
+        "FROM cells c"
+        " JOIN dataflows d ON d.dataflow_id = c.dataflow_id"
+        " JOIN objectives o ON o.objective_id = c.objective_id"
+        " JOIN runs r ON r.run_id = c.run_id")
+
+    def _cell_rows(self, sql: str, args: Tuple) -> List[Dict]:
+        """Run a :data:`_CELL_SELECT` query; one dict per cell."""
+        out = []
+        for values in self._reader().execute(sql, args):
+            entry = dict(zip(self._CELL_COLUMNS, values))
+            entry["feasible"] = bool(entry["feasible"])
+            out.append(entry)
+        return out
 
     def query_cells(self, *, workload: Optional[str] = None,
                     dataflow: Optional[str] = None,
@@ -906,30 +948,14 @@ class ExperimentStore:
         if feasible is not None:
             where.append("c.feasible=?")
             args.append(1 if feasible else 0)
-        sql = (
-            "SELECT c.cell_id, c.run_id, c.kind, c.workload, d.name,"
-            " c.batch, c.num_pes, c.rf_bytes_per_pe, o.name, c.feasible,"
-            " c.energy_per_op, c.delay_per_op, c.edp_per_op,"
-            " c.dram_reads_per_op, c.dram_writes_per_op,"
-            " c.dram_accesses_per_op, c.array_h, c.array_w,"
-            " c.buffer_bytes, c.area, c.cand_index, c.space_fp,"
-            " r.commit_sha "
-            "FROM cells c"
-            " JOIN dataflows d ON d.dataflow_id = c.dataflow_id"
-            " JOIN objectives o ON o.objective_id = c.objective_id"
-            " JOIN runs r ON r.run_id = c.run_id")
+        sql = self._CELL_SELECT
         if where:
             sql += " WHERE " + " AND ".join(where)
         sql += " ORDER BY c.cell_id"
         if limit is not None:
             sql += " LIMIT ?"
             args.append(int(limit))
-        out = []
-        for values in self._reader().execute(sql, tuple(args)):
-            entry = dict(zip(self._CELL_COLUMNS, values))
-            entry["feasible"] = bool(entry["feasible"])
-            out.append(entry)
-        return out
+        return self._cell_rows(sql, tuple(args))
 
     def cell_count(self) -> int:
         """Number of recorded result cells across all runs."""
@@ -989,25 +1015,9 @@ class ExperimentStore:
         ordered by candidate index.  This is what ``resume`` feeds back
         into the incremental frontier.
         """
-        sql = (
-            "SELECT c.cell_id, c.run_id, c.kind, c.workload, d.name,"
-            " c.batch, c.num_pes, c.rf_bytes_per_pe, o.name, c.feasible,"
-            " c.energy_per_op, c.delay_per_op, c.edp_per_op,"
-            " c.dram_reads_per_op, c.dram_writes_per_op,"
-            " c.dram_accesses_per_op, c.array_h, c.array_w,"
-            " c.buffer_bytes, c.area, c.cand_index, c.space_fp,"
-            " r.commit_sha "
-            "FROM cells c"
-            " JOIN dataflows d ON d.dataflow_id = c.dataflow_id"
-            " JOIN objectives o ON o.objective_id = c.objective_id"
-            " JOIN runs r ON r.run_id = c.run_id"
-            " WHERE c.space_fp=? AND c.cand_index IS NOT NULL"
-            " ORDER BY c.cell_id")
-        by_index: Dict[int, Dict] = {}
-        for values in self._reader().execute(sql, (space_fp,)):
-            entry = dict(zip(self._CELL_COLUMNS, values))
-            entry["feasible"] = bool(entry["feasible"])
-            by_index[entry["cand_index"]] = entry
+        by_index = {entry["cand_index"]: entry for entry in self._cell_rows(
+            self._CELL_SELECT + " WHERE c.space_fp=? AND c.cand_index"
+            " IS NOT NULL ORDER BY c.cell_id", (space_fp,))}
         return [by_index[index] for index in sorted(by_index)]
 
     # -- diffing --------------------------------------------------------

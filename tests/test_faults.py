@@ -12,6 +12,7 @@ executor threads, the recorded run still finalized).
 """
 
 import io
+import itertools
 import random
 import sqlite3
 import threading
@@ -326,6 +327,94 @@ class TestStoreWriteRetry:
         assert session.engine._pool is None
         with pytest.raises(sqlite3.ProgrammingError):
             session._store._writer.execute("SELECT 1")
+
+    def test_a_failed_commit_is_written_once_by_close(self, tmp_path):
+        """A commit that fails every attempt puts its rows back; the
+        failed attempt's run never becomes the session's, and close()
+        writes the rows exactly once."""
+        path = tmp_path / "s.db"
+        session = Session(parallel=False, store=path, record=True)
+        faults.arm(FaultPlan.from_spec(
+            f"store.write_io_error={WRITE_ATTEMPTS}"))
+        with pytest.raises(sqlite3.OperationalError):
+            session.evaluate(Scenario(**GRID))
+        assert session.run_id is None
+        with ExperimentStore(path) as reader:
+            assert reader.runs() == [] and reader.cell_count() == 0
+        session.close()
+        with ExperimentStore(path) as store:
+            (run,) = store.runs()
+            assert run.finished_at is not None and run.n_cells == 3
+            assert store.evaluation_count() == 3
+            assert {cell["run_id"] for cell in store.query_cells()} \
+                == {run.run_id}
+
+    def test_a_failed_pool_callback_commit_is_written_by_the_next(
+            self, tmp_path, monkeypatch):
+        """A pool callback's commit error reaches no one; what it
+        swapped out rides the next commit, exactly once."""
+        written = []
+        real = ExperimentStore.put_evaluations
+
+        def counting(self, items, run_id=None):
+            added = real(self, items, run_id)
+            written.extend(key for key, _ in items)
+            return added
+
+        monkeypatch.setattr(ExperimentStore, "put_evaluations", counting)
+        config = EngineConfig(parallel=True, executor="thread",
+                              max_workers=1, chunk_size=1)
+        path = tmp_path / "s.db"
+        faults.arm(FaultPlan.from_spec(
+            f"store.write_io_error={WRITE_ATTEMPTS}"))
+        with Session(engine_config=config, store=path,
+                     record=True) as session:
+            rows = session.evaluate(Scenario(**GRID), parallel=True)
+            assert faults.stats().injected["store.write_io_error"] \
+                == WRITE_ATTEMPTS
+            with ExperimentStore(path) as reader:
+                assert reader.cell_count() == len(rows) == 3
+                assert reader.evaluation_count() == 3
+        assert len(written) == len(set(written)) == 3
+
+    def test_a_failed_write_keeps_checkpoint_and_cells_in_step(
+            self, tmp_path):
+        """Fail every attempt of a recorded exploration's k-th write
+        transaction, for each k: the checkpoint's ``done`` counts
+        exactly the cells the store holds, right after the failure and
+        after close()."""
+        from repro.dse import DesignSpace, explore
+
+        space = DesignSpace(workload=LAYERS, dataflows=("RS", "NLR"),
+                            pe_counts=(16, 32, 64), rf_choices=(64, 512),
+                            sample=7, seed=1)
+        fingerprint = space.fingerprint()
+
+        def in_step(path) -> bool:
+            with ExperimentStore(path) as store:
+                row = store.exploration(fingerprint)
+                cells = store.exploration_cells(fingerprint)
+            return (row["done"] if row else 0) == len(cells)
+
+        for k in itertools.count(1):
+            faults.reset_stats()
+            path = tmp_path / f"k{k}.db"
+            session = Session(
+                parallel=False, store=path, record=True,
+                faults=f"store.write_io_error={WRITE_ATTEMPTS}@{k}")
+            try:
+                explore(space, session=session, chunk=3)
+            except sqlite3.OperationalError:
+                assert in_step(path), k
+            try:
+                session.close()
+            except sqlite3.OperationalError:
+                pass  # k hit finish_run
+            assert in_step(path), k
+            if not faults.stats().injected:
+                break
+        # One write per chunk (three of them), then finish_run.
+        assert k - 1 == 3 + 1
 
     def test_mid_batch_failure_leaves_nothing_and_retry_lands_all(
             self, tmp_path, monkeypatch):

@@ -8,9 +8,12 @@ to the live rows, and a second recorded run must rescore nothing
 and format safety (corrupt/foreign/newer files raise
 :class:`StoreFormatError`; a v1 database migrates forward in place).
 The commit points are pinned too: each engine call lands its
-evaluations in one store transaction.
+evaluations, recorded cells and checkpoints in one store transaction,
+the one that opens its session's run.
 """
 
+import itertools
+import random
 import sqlite3
 import sys
 import threading
@@ -42,6 +45,27 @@ def tiny_scenario(batch: int = 1, pe_counts=(64,)) -> Scenario:
 
 def recording_session(store, **kwargs) -> Session:
     return Session(parallel=False, store=store, record=True, **kwargs)
+
+
+@pytest.fixture
+def write_txns(monkeypatch):
+    """One entry per store write transaction, in call order; a write
+    joining the transaction open on its thread adds none."""
+    txns, local = [], threading.local()
+    real = ExperimentStore._write_txn
+
+    def counting(self, body):
+        if getattr(local, "open", False):
+            return real(self, body)
+        txns.append(threading.current_thread().name)
+        local.open = True
+        try:
+            return real(self, body)
+        finally:
+            local.open = False
+
+    monkeypatch.setattr(ExperimentStore, "_write_txn", counting)
+    return txns
 
 
 # ----------------------------------------------------------------------
@@ -142,14 +166,54 @@ class TestRecordedParity:
             assert report.clean
             assert store.diff_commits("HEAD", "HEAD").clean
 
-    def test_stream_records_cells_as_they_complete(self, tmp_path):
+    def test_stream_rows_land_in_one_transaction_when_it_ends(
+            self, tmp_path, write_txns):
+        path = tmp_path / "exp.db"
+        scenario = tiny_scenario(pe_counts=(64, 128, 256))
+        with recording_session(path) as session:
+            rows = tuple(session.stream(scenario))
+            assert len(write_txns) == 1  # run, evaluations and cells
+            assert ResultSet.from_store(path).rows == rows
+            # A closed stream keeps exactly the rows it yielded.
+            stream = session.stream(scenario)
+            first = next(stream)
+            stream.close()
+            assert len(write_txns) == 2
+            assert ResultSet.from_store(path).rows == rows + (first,)
+
+    def test_every_evaluation_carries_its_run(self, tmp_path):
         path = tmp_path / "exp.db"
         with recording_session(path) as session:
-            seen = 0
-            for _ in session.stream(tiny_scenario(pe_counts=(64, 128))):
-                seen += 1
-                with ExperimentStore(path) as reader:
-                    assert reader.cell_count() == seen
+            session.evaluate(tiny_scenario(pe_counts=(64, 128)))
+            run_id = session.run_id
+        conn = sqlite3.connect(path)
+        try:
+            tags = conn.execute("SELECT run_id FROM evaluations").fetchall()
+        finally:
+            conn.close()
+        assert run_id is not None and tags == [(run_id,)] * 2
+
+    def test_provenance_is_captured_outside_the_writer_lock(
+            self, tmp_path, monkeypatch):
+        import repro.store.db as db
+
+        path = tmp_path / "exp.db"
+        store = ExperimentStore(path)
+        held = []
+        real = db._git
+
+        def spy(args, cwd=None):
+            held.append(store._write_lock.locked())
+            return real(args, cwd)
+
+        monkeypatch.setattr(db, "_git", spy)
+        try:
+            store.finish_run(store.begin_run(label="direct"))
+            with recording_session(store) as session:
+                session.evaluate(tiny_scenario())
+        finally:
+            store.close()
+        assert len(held) == 4 and not any(held)
 
     def test_explore_records_dse_cells(self, tmp_path):
         from repro.dse import DesignSpace, explore
@@ -315,6 +379,73 @@ class TestCommitPoints:
             assert reader.get_evaluation(key) is None
 
 
+class TestOneWritePerRequest:
+    """A served request over a recording session writes once per engine
+    call: ``batch`` and ``evaluate`` once, ``dse`` once per chunk."""
+
+    LAYERS = ({"name": "T1", "H": 8, "R": 3, "C": 4, "M": 8},
+              {"name": "T2", "H": 10, "R": 3, "C": 4, "M": 8},
+              {"name": "T3", "H": 8, "R": 1, "C": 16, "M": 8})
+    DATAFLOWS = ("RS", "WS", "OSA", "NLR")
+    PES = (16, 32, 64, 128)
+
+    def deck(self, seed: int):
+        """A seeded mix of the four verbs, as the load generator sends."""
+        rng = random.Random(seed)
+        verbs = ["evaluate"] * 4 + ["batch"] * 3 + ["dse"] * 2 + ["query"] * 2
+        rng.shuffle(verbs)
+        for position, verb in enumerate(verbs):
+            spec = {"verb": verb, "id": f"r{position}"}
+            if verb == "query":
+                spec.update(kind="grid", dataflow=rng.choice(self.DATAFLOWS),
+                            limit=50)
+            elif verb == "dse":
+                spec.update(stream=True, layers=[rng.choice(self.LAYERS)],
+                            batch=1, dataflows=rng.sample(self.DATAFLOWS, 2),
+                            pe_counts=rng.sample(self.PES, 2),
+                            rf_choices=[64, 128], glb_choices=[8192],
+                            chunk=4)
+            else:
+                spec.update(layers=rng.sample(self.LAYERS, 2), batch=1,
+                            dataflows=rng.sample(self.DATAFLOWS, 2),
+                            pe_counts=[rng.choice(self.PES)])
+            yield spec
+
+    def test_seeded_deck_writes_once_per_engine_call(self, tmp_path,
+                                                     write_txns):
+        from repro.netserve.core import RequestHandler
+        from repro.netserve.protocol import is_terminal
+        from repro.service.dispatcher import BatchDispatcher
+
+        path = tmp_path / "serve.db"
+        txns = {}
+        with recording_session(path) as session, \
+                ExperimentStore(path) as reader:
+            handler = RequestHandler(BatchDispatcher(session))
+            for spec in self.deck(seed=7):
+                before, cells = len(write_txns), reader.cell_count()
+                chunks = 0
+                for event in handler.handle(spec, spec["id"]):
+                    kind = event.get("event")
+                    assert kind not in ("error", "timeout"), event
+                    chunks += kind == "progress"
+                    cells += kind in ("cell", "candidate")
+                    if spec["verb"] == "batch":
+                        cells += len(event["cells"])
+                    if is_terminal(event):
+                        # The request's rows are readable by its answer.
+                        assert reader.cell_count() == cells
+                expected = {"batch": 1, "evaluate": 1, "dse": chunks,
+                            "query": 0}[spec["verb"]]
+                txns.setdefault(spec["verb"], []).append(
+                    (len(write_txns) - before, expected))
+        assert set(txns) == {"batch", "evaluate", "dse", "query"}
+        for verb, counts in txns.items():
+            assert all(got == expected for got, expected in counts), (
+                verb, counts)
+        assert all(expected >= 2 for _, expected in txns["dse"])
+
+
 # ----------------------------------------------------------------------
 # Exploration checkpoints: interrupted DSE resumes from the store.
 # ----------------------------------------------------------------------
@@ -429,19 +560,51 @@ class TestConcurrency:
             store.close()
 
     def test_concurrent_puts_and_commits_lose_nothing(self):
-        """Threads sharing one tier put and commit at random moments;
-        every queued evaluation is written exactly once."""
+        """Threads sharing one recording tier put, record and commit at
+        random moments; every queued evaluation and row is written
+        exactly once, under the one run that exists."""
 
         class CountingStore:
-            """Stands in for the store: records each written key."""
+            """Stands in for the store: keeps what each transaction
+            wrote, and rolls back every seventh after its body ran (the
+            first one included), as one whose retries all failed would.
+            A transaction that opened a run is slow to return, which is
+            when a second commit could open another."""
 
             def __init__(self):
-                self.written = []
+                self.runs, self.written, self.cells = [], [], []
+                self.calls = 0
+                self.failing = True
+                self._ids = itertools.count(1)
                 self._lock = threading.Lock()
+                self._txn = None
+
+            def _write_txn(self, body):
+                with self._lock:
+                    self.calls += 1
+                    self._txn = txn = {"runs": [], "written": [],
+                                       "cells": []}
+                    result = body(None)
+                    if self.failing and self.calls % 7 == 1:
+                        raise sqlite3.OperationalError("injected")
+                    for name, rows in txn.items():
+                        getattr(self, name).extend(rows)
+                if txn["runs"]:
+                    time.sleep(0.01)
+                return result
+
+            def begin_run(self, label=None, command=None, *,
+                          provenance=None):
+                run_id = next(self._ids)  # a rolled-back id never returns
+                self._txn["runs"].append(run_id)
+                return run_id
 
             def put_evaluations(self, items, run_id=None):
-                with self._lock:
-                    self.written.extend(key for key, _ in items)
+                self._txn["written"].extend((run_id, key) for key, _ in items)
+
+            def record_cells(self, run_id, rows, kind="grid",
+                             space_fp=None):
+                self._txn["cells"].extend((run_id, row) for row in rows)
 
         threads_n, per_thread = 8, 1500
         hw = tiny_scenario().cells()[0].hardware
@@ -450,13 +613,18 @@ class TestConcurrency:
                                            C=8, M=16, N=1))
                  for i in range(per_thread)] for n in range(threads_n)]
         store = CountingStore()
-        cache = StoreTierCache(store, max_entries=threads_n * per_thread)
+        cache = StoreTierCache(store, max_entries=threads_n * per_thread,
+                               record=True)
 
         def work(mine) -> None:
             for i, key in enumerate(mine):
                 cache.put(key, None)
+                cache.record((key,))
                 if i % 5 == 0:
-                    cache.commit()
+                    try:
+                        cache.commit()
+                    except sqlite3.OperationalError:
+                        pass
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -470,9 +638,15 @@ class TestConcurrency:
         finally:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
+        assert store.calls >= 7
+        store.failing = False
         cache.commit()
-        assert Counter(store.written) == Counter(
-            key for mine in keys for key in mine)
+        every_key = Counter(key for mine in keys for key in mine)
+        assert Counter(key for _, key in store.written) == every_key
+        assert Counter(row for _, row in store.cells) == every_key
+        assert len(store.runs) == 1
+        assert {run for run, _ in store.written + store.cells} \
+            == {cache.run_id} == set(store.runs)
         assert len(cache) == threads_n * per_thread
 
     def test_reader_queries_mid_write(self, tmp_path):
