@@ -65,11 +65,12 @@ from repro.engine.core import (
 )
 from repro.nn.layer import LayerShape
 from repro.registry import (
-    dataflow_registry,
     get_dataflow,
     network_layers,
-    network_registry,
-    objective_registry,
+    normalize_dataflows,
+    normalize_ints,
+    normalize_objective,
+    normalize_workload,
 )
 
 #: Workload label used for scenarios built from explicit layer lists.
@@ -112,21 +113,6 @@ class ScenarioCell:
                           self.hardware, self.objective)
 
 
-def _positive_tuple(values, what: str) -> Tuple[int, ...]:
-    if isinstance(values, int) and not isinstance(values, bool):
-        values = (values,)
-    if isinstance(values, str):
-        # Iterating "256" would silently turn it into the grid (2, 5, 6).
-        raise ValueError(
-            f"{what} must be a sequence of integers, got {values!r}")
-    result = tuple(int(v) for v in values)
-    if not result or any(v < 1 for v in result):
-        raise ValueError(
-            f"{what} must be a non-empty sequence of positive integers, "
-            f"got {values!r}")
-    return result
-
-
 @dataclass(frozen=True)
 class Scenario:
     """A typed evaluation grid: workload x dataflows x hardware x objective.
@@ -140,8 +126,11 @@ class Scenario:
     :class:`~repro.arch.hardware.HardwareConfig` points (the Fig. 15
     sweep's fixed-total-area allocations, for example).
 
-    Validation is eager: unknown workload/dataflow/objective names fail
-    at construction with the registered names listed.
+    Validation is eager, through the :mod:`repro.registry` normalizers
+    that :class:`repro.dse.DesignSpace` and the service wire share:
+    unknown workload/dataflow/objective names fail at construction with
+    the registered names listed, and the integer axes take integral
+    values only (a float or a string is refused, not truncated).
     """
 
     workload: Union[str, Tuple[LayerShape, ...]]
@@ -154,37 +143,12 @@ class Scenario:
 
     def __post_init__(self) -> None:
         set_ = lambda name, value: object.__setattr__(self, name, value)  # noqa: E731
-        if isinstance(self.workload, str):
-            if self.workload not in network_registry:
-                raise ValueError(
-                    f"unknown network {self.workload!r}; known: "
-                    f"{sorted(network_registry)}")
-            set_("workload", self.workload.lower())
-        else:
-            layers = tuple(self.workload)
-            if not layers or not all(isinstance(l, LayerShape)
-                                     for l in layers):
-                raise ValueError(
-                    "workload must be a registered network name or a "
-                    "non-empty sequence of LayerShape objects, got "
-                    f"{self.workload!r}")
-            set_("workload", layers)
-        dataflows = ((self.dataflows,) if isinstance(self.dataflows, str)
-                     else tuple(self.dataflows))
-        if not dataflows:
-            dataflows = tuple(dataflow_registry)
-        try:
-            # Canonical registry keys, not the instances' .name: a model
-            # registered under an alias must stay resolvable by it.
-            set_("dataflows", tuple(dataflow_registry.canonical(n)
-                                    for n in dataflows))
-        except KeyError as exc:
-            raise ValueError(str(exc.args[0])) from None
-        set_("batches", _positive_tuple(self.batches, "batches"))
-        set_("pe_counts", _positive_tuple(self.pe_counts, "pe_counts"))
+        set_("workload", normalize_workload(self.workload))
+        set_("dataflows", normalize_dataflows(self.dataflows))
+        set_("batches", normalize_ints(self.batches, "batches"))
+        set_("pe_counts", normalize_ints(self.pe_counts, "pe_counts"))
         if self.rf_choices is not None:
-            set_("rf_choices", _positive_tuple(self.rf_choices,
-                                               "rf_choices"))
+            set_("rf_choices", normalize_ints(self.rf_choices, "rf_choices"))
         if self.hardware is not None:
             hardware = tuple(self.hardware)
             if not hardware or not all(isinstance(h, HardwareConfig)
@@ -193,14 +157,7 @@ class Scenario:
                     "hardware must be a non-empty sequence of "
                     "HardwareConfig points")
             set_("hardware", hardware)
-        try:
-            # Canonical spelling: the objective lands in the engine
-            # cache key, where "EDP" and "edp" must be one entry.
-            set_("objective", objective_registry.canonical(self.objective))
-        except KeyError:
-            raise ValueError(
-                f"unknown objective {self.objective!r}; known: "
-                f"{list(objective_registry)}") from None
+        set_("objective", normalize_objective(self.objective))
         if not isinstance(self.workload, str) and len(self.batches) > 1:
             raise ValueError(
                 "an explicit-layers workload carries its own batch size; "

@@ -100,6 +100,7 @@ from typing import (
     Union,
 )
 
+from repro.api import CUSTOM_WORKLOAD
 from repro.arch.area import storage_area
 from repro.arch.hardware import HardwareConfig, square_array_geometry
 from repro.arch.storage import (
@@ -111,16 +112,15 @@ from repro.energy.model import NetworkEvaluation
 from repro.engine.core import NetworkJob
 from repro.nn.layer import LayerShape
 from repro.registry import (
-    dataflow_registry,
     get_dataflow,
     network_layers,
-    network_registry,
-    objective_registry,
+    normalize_dataflows,
+    normalize_int,
+    normalize_ints,
+    normalize_objective,
+    normalize_workload,
     register_design_space,
 )
-
-#: Workload label used for spaces built from explicit layer lists.
-CUSTOM_WORKLOAD = "custom"
 
 #: Baseline global-buffer bytes per PE used when free mode is given no
 #: explicit ``glb_choices`` (the Fig. 10 setup: #PE x 512 B).
@@ -218,32 +218,18 @@ class DesignPoint:
                 f"(area {self.area:.0f})")
 
 
-def _positive_tuple(values, what: str, minimum: int = 1) -> Tuple[int, ...]:
-    """Normalize a scalar/sequence of ints, rejecting strings and zeros."""
-    if isinstance(values, int) and not isinstance(values, bool):
-        values = (values,)
-    if isinstance(values, str):
-        # Iterating "256" would silently turn it into the grid (2, 5, 6).
-        raise ValueError(
-            f"{what} must be a sequence of integers, got {values!r}")
-    result = tuple(int(v) for v in values)
-    if any(v < minimum for v in result):
-        raise ValueError(
-            f"{what} must be integers >= {minimum}, got {values!r}")
-    return result
-
-
 def _shape_tuple(values) -> Tuple[Tuple[int, int], ...]:
     """Normalize ``array_shapes`` into ((h, w), ...) pairs."""
-    shapes = []
-    for entry in values:
-        pair = tuple(int(v) for v in entry)
-        if len(pair) != 2 or any(v < 1 for v in pair):
-            raise ValueError(
-                f"array_shapes entries must be (height, width) pairs of "
-                f"positive integers, got {entry!r}")
-        shapes.append(pair)
-    return tuple(shapes)
+    try:
+        shapes = tuple(normalize_ints(entry, "array_shapes entries")
+                       for entry in values)
+    except TypeError:  # values itself is not iterable
+        shapes = None
+    if shapes is None or any(len(shape) != 2 for shape in shapes):
+        raise ValueError(
+            "array_shapes must be a list of (height, width) pairs of "
+            f"positive integers, got {values!r}")
+    return shapes
 
 
 def _van_der_corput(index: int, base: int = 2) -> float:
@@ -302,8 +288,10 @@ class DesignSpace:
 
     ``metrics`` names the Pareto objectives (all minimized); the
     default is the paper's energy/op x delay/op x storage-area
-    trade-off.  Validation is eager, like :class:`repro.api.Scenario`:
-    unknown names fail at construction with the known menu listed.
+    trade-off.  Validation is eager, through the same
+    :mod:`repro.registry` normalizers as :class:`repro.api.Scenario`:
+    unknown names fail at construction with the known menu listed, and
+    the integer fields take integral values only.
     """
 
     workload: Union[str, Tuple[LayerShape, ...]]
@@ -323,62 +311,29 @@ class DesignSpace:
 
     def __post_init__(self) -> None:
         set_ = lambda name, value: object.__setattr__(self, name, value)  # noqa: E731
-        if isinstance(self.workload, str):
-            if self.workload not in network_registry:
-                raise ValueError(
-                    f"unknown network {self.workload!r}; known: "
-                    f"{sorted(network_registry)}")
-            set_("workload", self.workload.lower())
-        else:
-            layers = tuple(self.workload)
-            if not layers or not all(isinstance(l, LayerShape)
-                                     for l in layers):
-                raise ValueError(
-                    "workload must be a registered network name or a "
-                    "non-empty sequence of LayerShape objects, got "
-                    f"{self.workload!r}")
-            set_("workload", layers)
-        dataflows = ((self.dataflows,) if isinstance(self.dataflows, str)
-                     else tuple(self.dataflows))
-        if not dataflows:
-            dataflows = tuple(dataflow_registry)
-        try:
-            set_("dataflows", tuple(dataflow_registry.canonical(n)
-                                    for n in dataflows))
-        except KeyError as exc:
-            raise ValueError(str(exc.args[0])) from None
-        if self.batch < 1:
-            raise ValueError(f"batch must be >= 1, got {self.batch}")
-        set_("pe_counts", _positive_tuple(self.pe_counts, "pe_counts"))
+        set_("workload", normalize_workload(self.workload))
+        set_("dataflows", normalize_dataflows(self.dataflows))
+        set_("batch", normalize_int(self.batch, "batch"))
+        set_("pe_counts", normalize_ints(self.pe_counts, "pe_counts",
+                                         allow_empty=True))
         set_("array_shapes", _shape_tuple(self.array_shapes))
         if not self.pe_counts and not self.array_shapes:
             raise ValueError(
                 "a design space needs at least one PE-array geometry: "
                 "set pe_counts and/or array_shapes")
-        set_("rf_choices", _positive_tuple(self.rf_choices, "rf_choices",
-                                           minimum=0))
-        if not self.rf_choices:
-            raise ValueError("rf_choices must name at least one RF size")
+        set_("rf_choices", normalize_ints(self.rf_choices, "rf_choices",
+                                          minimum=0))
         if self.equal_area and self.glb_choices is not None:
             raise ValueError(
                 "equal_area=True derives the global buffer from the area "
                 "budget; explicit glb_choices are contradictory")
         if self.glb_choices is not None:
-            glb = _positive_tuple(self.glb_choices, "glb_choices",
-                                  minimum=0)
-            if not glb:
-                raise ValueError(
-                    "glb_choices must name at least one buffer size")
-            set_("glb_choices", glb)
+            set_("glb_choices", normalize_ints(self.glb_choices,
+                                               "glb_choices", minimum=0))
         if self.area_budget is not None and self.area_budget <= 0:
             raise ValueError(
                 f"area_budget must be positive, got {self.area_budget}")
-        try:
-            set_("objective", objective_registry.canonical(self.objective))
-        except KeyError:
-            raise ValueError(
-                f"unknown objective {self.objective!r}; known: "
-                f"{list(objective_registry)}") from None
+        set_("objective", normalize_objective(self.objective))
         metrics = ((self.metrics,) if isinstance(self.metrics, str)
                    else tuple(self.metrics))
         unknown = [m for m in metrics if m not in CANDIDATE_METRICS]
@@ -388,12 +343,8 @@ class DesignSpace:
                 f"{list(CANDIDATE_METRICS)}")
         set_("metrics", metrics)
         if self.sample is not None:
-            if isinstance(self.sample, bool) or int(self.sample) < 1:
-                raise ValueError(
-                    f"sample must be a positive integer, got "
-                    f"{self.sample!r}")
-            set_("sample", int(self.sample))
-        set_("seed", int(self.seed))
+            set_("sample", normalize_int(self.sample, "sample"))
+        set_("seed", normalize_int(self.seed, "seed", minimum=None))
         sampler = str(self.sampler).lower()
         if sampler not in SAMPLERS:
             raise ValueError(

@@ -775,7 +775,16 @@ class EvaluationEngine:
                         if (not future.cancelled()
                                 and future.exception() is None):
                             on_result(chunk, future.result())
-                            self.cache.commit()
+                            try:
+                                self.cache.commit()
+                            except Exception:
+                                # Raised here, it would reach only the
+                                # executor's logger; the tier re-queued
+                                # its writes for the next commit.
+                                logger.exception(
+                                    "store commit after a pool chunk "
+                                    "failed; its writes wait for the "
+                                    "next commit")
                     finally:
                         finished.put((chunk, future))
                 future.add_done_callback(done)

@@ -20,7 +20,8 @@ This module is the switchboard that makes every degraded path
 * :class:`FaultStats` counts what actually happened -- injections per
   point plus every *recovery* the hardened layers performed (pool
   rebuilds, chunk retries, kernel and serial degradations, store
-  write retries, connection drops, deadline timeouts) -- in the
+  write retries and failed commits, connection drops, deadline
+  timeouts) -- in the
   style of :class:`~repro.engine.cache.CacheStats`.  The counters are
   process-wide and always live, so genuine faults count even with no
   plan armed; the ``metrics`` verb surfaces them.
@@ -94,6 +95,7 @@ RECOVERY_COUNTERS = (
     "kernel_degradations",
     "serial_degradations",
     "store_write_retries",
+    "store_commit_failures",
     "conn_drops",
     "deadline_timeouts",
 )
@@ -268,6 +270,7 @@ class FaultStats:
     kernel_degradations: int = 0
     serial_degradations: int = 0
     store_write_retries: int = 0
+    store_commit_failures: int = 0
     conn_drops: int = 0
     deadline_timeouts: int = 0
 

@@ -18,6 +18,14 @@ suites) resolves names through:
   returning a :class:`repro.dse.DesignSpace`, resolvable by the
   ``repro dse`` CLI and the service's ``dse`` verb.
 
+The grid vocabulary lives here too, next to the registries it resolves
+against: :func:`normalize_workload`, :func:`normalize_dataflows`,
+:func:`normalize_objective` and the integer normalizers
+:func:`normalize_int` / :func:`normalize_ints`.
+:class:`repro.api.Scenario`, :class:`repro.dse.DesignSpace` and the
+service's wire schema all validate through them, so every front door
+accepts and refuses the same inputs.
+
 Registering once makes the name available everywhere at the same time:
 ``repro batch`` specs, :class:`repro.api.Scenario`, the CLI and the
 figure suites.  The legacy lookup tables --
@@ -35,8 +43,18 @@ from __future__ import annotations
 
 import functools
 import importlib
+import operator
 import threading
-from typing import Callable, Dict, Iterator, List, Mapping, Optional, TypeVar
+from typing import (
+    Callable,
+    Dict,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Tuple,
+    TypeVar,
+)
 
 T = TypeVar("T")
 
@@ -351,3 +369,112 @@ def objective_names() -> List[str]:
 def design_space_names() -> List[str]:
     """The registered design-space names, in registration order."""
     return design_space_registry.names()
+
+
+# ----------------------------------------------------------------------
+# Normalizers: the one vocabulary every grid description (Scenario,
+# DesignSpace, the service wire) validates through.  Each raises
+# ValueError -- never TypeError -- so a wrong-typed wire field stays an
+# error answer instead of escaping the serve loop.
+# ----------------------------------------------------------------------
+
+
+def _canonical(registry: Registry, name) -> str:
+    """``registry.canonical``, a miss as a ``ValueError``."""
+    try:
+        return registry.canonical(name)
+    except KeyError as exc:
+        raise ValueError(exc.args[0]) from None
+
+
+def normalize_workload(workload):
+    """A registered network name (case-folded) or a non-empty tuple of
+    :class:`~repro.nn.layer.LayerShape`."""
+    from repro.nn.layer import LayerShape  # lazy: nn registers networks
+
+    if isinstance(workload, str):
+        return _canonical(network_registry, workload)
+    try:
+        layers = tuple(workload)
+    except TypeError:
+        layers = ()
+    if not layers or not all(isinstance(l, LayerShape) for l in layers):
+        raise ValueError(
+            "workload must be a registered network name or a non-empty "
+            f"sequence of LayerShape objects, got {workload!r}")
+    return layers
+
+
+def normalize_dataflows(names) -> Tuple[str, ...]:
+    """Canonical dataflow registry keys; empty means all registered.
+
+    Canonical keys, not the instances' ``.name``: a model registered
+    under an alias stays resolvable (and labelled) by that alias.  A
+    bare string names one dataflow.
+    """
+    if isinstance(names, str):
+        names = (names,)
+    try:
+        names = tuple(names)
+    except TypeError:
+        raise ValueError(
+            f"'dataflows' must be a list of names, got {names!r}") from None
+    if not names:
+        return tuple(dataflow_registry)
+    return tuple(_canonical(dataflow_registry, name) for name in names)
+
+
+def normalize_objective(name) -> str:
+    """The objective's canonical key: it lands in the engine cache key,
+    where "EDP" and "edp" must be one entry."""
+    return _canonical(objective_registry, name)
+
+
+def _index(value) -> int:
+    """``operator.index``, refusing bools (an int, but never a size)."""
+    if isinstance(value, bool):
+        raise TypeError("a bool is not an integer size")
+    return operator.index(value)
+
+
+def normalize_int(value, what: str, minimum: Optional[int] = 1) -> int:
+    """One integral value of at least ``minimum`` (None: unbounded).
+
+    Integral means ``operator.index``: strings, bools and floats --
+    even whole ones -- are refused rather than truncated.
+    """
+    try:
+        number = _index(value)
+    except TypeError:
+        number = None
+    if number is None or (minimum is not None and number < minimum):
+        bound = "" if minimum is None else f" >= {minimum}"
+        raise ValueError(
+            f"{what!r} must be an integer{bound}, got {value!r}")
+    return number
+
+
+def normalize_ints(values, what: str, minimum: int = 1, *,
+                   allow_empty: bool = False) -> Tuple[int, ...]:
+    """An integer axis: a tuple of integral values >= ``minimum``.
+
+    A bare integer is a one-point axis.  Elements follow
+    :func:`normalize_int`'s rule, so a string is refused too (iterating
+    "256" would otherwise become the grid 2, 5, 6).  The axis must be
+    non-empty unless ``allow_empty``.
+    """
+    if isinstance(values, int) and not isinstance(values, bool):
+        values = (values,)
+    try:
+        axis = tuple(_index(value) for value in values)
+    except TypeError:
+        raise ValueError(
+            f"{what!r} must be a list of integers (or any sequence of "
+            f"integers), got {values!r}") from None
+    if (not axis and not allow_empty) or any(v < minimum for v in axis):
+        kind = ("positive integers" if minimum == 1
+                else f"integers >= {minimum}")
+        raise ValueError(
+            f"{what!r} must be a {'' if allow_empty else 'non-empty '}"
+            f"list of {kind}, got {values!r}")
+    return axis

@@ -1,14 +1,17 @@
 """Batch evaluation service: the scale tier over the engine.
 
 ``repro.service`` answers *grids* of evaluation problems instead of
-single calls.  A :class:`~repro.service.schema.BatchRequest` names a
-workload (a reference network or explicit layers), a set of dataflows,
-a hardware grid and an objective; the
-:class:`~repro.service.dispatcher.BatchDispatcher` expands it into
-deduplicated engine jobs, fans them out through the shared
-:class:`~repro.engine.core.EvaluationEngine`, and aggregates a
-:class:`~repro.service.schema.BatchResult` with per-cell metrics and
-the request's cache traffic.
+single calls.  A :class:`~repro.service.schema.BatchRequest` decodes
+the wire's workload (a reference network or explicit layers), set of
+dataflows, hardware grid and objective into the
+:class:`repro.api.Scenario` it carries; the
+:class:`~repro.service.dispatcher.BatchDispatcher` evaluates that
+scenario on a :class:`repro.api.Session` (deduplicated engine jobs
+through the shared :class:`~repro.engine.core.EvaluationEngine`) and
+answers a :class:`~repro.service.schema.BatchResult`: the scenario's
+:class:`repro.api.Result` rows, rendered on the wire by
+:func:`~repro.service.schema.cell_to_dict`, plus the request's cache
+traffic.
 
 The JSON-lines loop also speaks a ``dse`` verb: a
 :class:`~repro.service.schema.DseRequest` runs a hardware design-space
@@ -31,19 +34,15 @@ repeated design-space retrospectives cheap.
 ``repro serve``.
 """
 
-from repro.service.dispatcher import (
-    BatchDispatcher,
-    equal_area_hardware,
-    expand_request,
-)
+from repro.service.dispatcher import BatchDispatcher, equal_area_hardware
 from repro.service.schema import (
     BatchRequest,
     BatchResult,
-    CellResult,
     DseRequest,
     DseResult,
     QueryRequest,
     QueryResult,
+    cell_to_dict,
     layer_from_dict,
     layer_to_dict,
     parse_requests,
@@ -55,15 +54,14 @@ __all__ = [
     "BatchDispatcher",
     "BatchRequest",
     "BatchResult",
-    "CellResult",
     "DseRequest",
     "DseResult",
     "QueryRequest",
     "QueryResult",
     "STORE_ENV",
+    "cell_to_dict",
     "default_store_path",
     "equal_area_hardware",
-    "expand_request",
     "layer_from_dict",
     "layer_to_dict",
     "parse_requests",

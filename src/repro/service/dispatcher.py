@@ -1,70 +1,44 @@
-"""Grid expansion and aggregation: BatchRequest -> BatchResult.
+"""The service's dispatch over the unified facade.
 
-The dispatcher is the service's wire adapter over the unified facade:
-each :class:`~repro.service.schema.BatchRequest` is translated into a
-:class:`repro.api.Scenario`, answered through a
-:class:`repro.api.Session` (one engine call, so a grid of G cells over
-L layers fans out as at most G x L layer evaluations, minus everything
-the cache already covers), and the resulting
-:class:`repro.api.ResultSet` rows are folded back into the service's
-JSON schema.  Per-request cache traffic is measured as a stats delta
-and reported in the :class:`BatchResult`.
+Each :class:`~repro.service.schema.BatchRequest` carries the
+:class:`repro.api.Scenario` it evaluates; the dispatcher answers it
+through a :class:`repro.api.Session` (one engine call, so a grid of G
+cells over L layers fans out as at most G x L layer evaluations, minus
+everything the cache already covers) and returns the
+:class:`repro.api.Result` rows in a
+:class:`~repro.service.schema.BatchResult`.  ``dse`` requests explore
+their :class:`repro.dse.DesignSpace` on the same session.  Per-request
+cache traffic is measured as a stats delta and reported in each result.
 """
 
 from __future__ import annotations
 
+import contextlib
 import time
-from typing import List, Optional, Union
+from typing import List, Optional, Sequence, Union
 
-from repro.api import (
-    EmptyScenarioError,
-    Result,
-    Scenario,
-    ScenarioCell,
-    Session,
-    default_session,
-)
+from repro.api import EmptyScenarioError, Result, Session, default_session
 from repro.dataflows.registry import equal_area_hardware  # noqa: F401  (re-export)
-from repro.dse import EmptyDesignSpaceError
+from repro.dse import EmptyDesignSpaceError, ParetoSet
 from repro.engine.core import EvaluationEngine
 from repro.service.schema import (
     BatchRequest,
     BatchResult,
-    CellResult,
     DseRequest,
     DseResult,
     QueryRequest,
     QueryResult,
+    cell_to_dict,
 )
 
 
-def scenario_from_request(request: BatchRequest) -> Scenario:
-    """The facade-level description of one request's grid."""
-    workload = (request.layers if request.layers is not None
-                else request.network)
-    return Scenario(
-        workload=workload,
-        dataflows=request.dataflows,
-        batches=(request.batch,),
-        pe_counts=request.pe_counts,
-        rf_choices=request.rf_choices,
-        objective=request.objective,
-    )
-
-
-def expand_request(request: BatchRequest) -> List[ScenarioCell]:
-    """Expand a request grid into resolved scenario cells.
-
-    Hardware points whose RF demand exceeds the equal-area storage
-    budget are skipped (they have no valid configuration, mirroring how
-    the Fig. 15 sweep prunes its grid); a grid with *no* surviving
-    point is an error.
-    """
+@contextlib.contextmanager
+def _empty_grid_as_request_error(kind: str, request_id: str):
+    """Answer a grid that pruned to nothing as the request's error."""
     try:
-        return list(scenario_from_request(request).cells())
-    except EmptyScenarioError as exc:
-        raise ValueError(
-            f"request {request.request_id!r} {exc}") from None
+        yield
+    except (EmptyScenarioError, EmptyDesignSpaceError) as exc:
+        raise ValueError(f"{kind} {request_id!r} {exc}") from None
 
 
 class BatchDispatcher:
@@ -87,22 +61,12 @@ class BatchDispatcher:
 
     def run(self, request: BatchRequest,
             parallel: Optional[bool] = None) -> BatchResult:
-        """Expand, evaluate and aggregate one request."""
-        start = time.perf_counter()
-        before = self.session.cache.stats
-        scenario = scenario_from_request(request)
-        try:
-            results = self.session.evaluate(scenario, parallel=parallel)
-        except EmptyScenarioError as exc:
-            raise ValueError(
-                f"request {request.request_id!r} {exc}") from None
-        return BatchResult(
-            request_id=request.request_id,
-            cells=tuple(self._cell_result(row) for row in results),
-            layer_jobs=sum(len(row.evaluation.layers) for row in results),
-            elapsed_s=time.perf_counter() - start,
-            cache=self.session.cache.stats.since(before),
-        )
+        """Evaluate one request's scenario and aggregate its rows."""
+        start, before = time.perf_counter(), self.session.cache.stats
+        with _empty_grid_as_request_error("request", request.request_id):
+            rows = self.session.evaluate(request.scenario,
+                                         parallel=parallel).rows
+        return self._batch_result(request, rows, start, before)
 
     def stream_batch(self, request: BatchRequest,
                      parallel: Optional[bool] = None):
@@ -117,30 +81,29 @@ class BatchDispatcher:
         for the same request.  Streaming changes the delivery, never
         the numbers.
         """
-        start = time.perf_counter()
-        before = self.session.cache.stats
-        scenario = scenario_from_request(request)
+        start, before = time.perf_counter(), self.session.cache.stats
         request_id = request.request_id
         rows: dict = {}
-        try:
+        with _empty_grid_as_request_error("request", request_id):
             for index, row in self.session.stream_indexed(
-                    scenario, parallel=parallel):
+                    request.scenario, parallel=parallel):
                 rows[index] = row
                 yield {"id": request_id, "verb": "evaluate",
-                       "event": "cell", "index": index,
-                       **self._cell_result(row).to_dict()}
-        except EmptyScenarioError as exc:
-            raise ValueError(
-                f"request {request_id!r} {exc}") from None
-        ordered = [rows[index] for index in sorted(rows)]
-        result = BatchResult(
-            request_id=request_id,
-            cells=tuple(self._cell_result(row) for row in ordered),
-            layer_jobs=sum(len(row.evaluation.layers) for row in ordered),
+                       "event": "cell", "index": index, **cell_to_dict(row)}
+        result = self._batch_result(
+            request, [rows[index] for index in sorted(rows)], start, before)
+        yield {"verb": "evaluate", "event": "result", **result.to_dict()}
+
+    def _batch_result(self, request: BatchRequest, rows: Sequence[Result],
+                      start: float, before) -> BatchResult:
+        """The answer to one batch request, from its grid-ordered rows."""
+        return BatchResult(
+            request_id=request.request_id,
+            cells=tuple(rows),
+            layer_jobs=sum(len(row.evaluation.layers) for row in rows),
             elapsed_s=time.perf_counter() - start,
             cache=self.session.cache.stats.since(before),
         )
-        yield {"verb": "evaluate", "event": "result", **result.to_dict()}
 
     def run_many(self, requests: List[BatchRequest],
                  parallel: Optional[bool] = None) -> List[BatchResult]:
@@ -157,21 +120,11 @@ class BatchDispatcher:
         re-visiting hardware points a batch grid already evaluated --
         or vice versa -- answers from the cache.
         """
-        start = time.perf_counter()
-        before = self.session.cache.stats
-        try:
+        start, before = time.perf_counter(), self.session.cache.stats
+        with _empty_grid_as_request_error("dse request", request.request_id):
             pareto = self.session.explore(request.space, parallel=parallel,
                                           chunk=request.chunk)
-        except EmptyDesignSpaceError as exc:
-            raise ValueError(
-                f"dse request {request.request_id!r} {exc}") from None
-        return DseResult(
-            request_id=request.request_id,
-            pareto=pareto,
-            elapsed_s=time.perf_counter() - start,
-            include_dominated=request.include_dominated,
-            cache=self.session.cache.stats.since(before),
-        )
+        return self._dse_result(request, pareto, start, before)
 
     def stream_dse(self, request: DseRequest,
                    parallel: Optional[bool] = None):
@@ -188,10 +141,9 @@ class BatchDispatcher:
         """
         from repro.dse import explore_stream
 
-        start = time.perf_counter()
-        before = self.session.cache.stats
+        start, before = time.perf_counter(), self.session.cache.stats
         request_id = request.request_id
-        try:
+        with _empty_grid_as_request_error("dse request", request_id):
             for kind, payload in explore_stream(
                     request.space, session=self.session, parallel=parallel,
                     chunk=request.chunk):
@@ -202,17 +154,20 @@ class BatchDispatcher:
                     yield {"id": request_id, "verb": "dse",
                            "event": "progress", **payload}
                 else:
-                    result = DseResult(
-                        request_id=request_id,
-                        pareto=payload,
-                        elapsed_s=time.perf_counter() - start,
-                        include_dominated=request.include_dominated,
-                        cache=self.session.cache.stats.since(before),
-                    )
+                    result = self._dse_result(request, payload, start,
+                                              before)
                     yield {"event": "result", **result.to_dict()}
-        except EmptyDesignSpaceError as exc:
-            raise ValueError(
-                f"dse request {request_id!r} {exc}") from None
+
+    def _dse_result(self, request: DseRequest, pareto: ParetoSet,
+                    start: float, before) -> DseResult:
+        """The answer to one dse request, from its explored frontier."""
+        return DseResult(
+            request_id=request.request_id,
+            pareto=pareto,
+            elapsed_s=time.perf_counter() - start,
+            include_dominated=request.include_dominated,
+            cache=self.session.cache.stats.since(before),
+        )
 
     def run_query(self, request: QueryRequest) -> QueryResult:
         """Serve one experiment-store query (the ``query`` verb).
@@ -234,24 +189,4 @@ class BatchDispatcher:
             request_id=request.request_id,
             rows=tuple(rows),
             elapsed_s=time.perf_counter() - start,
-        )
-
-    @staticmethod
-    def _cell_result(row: Result) -> CellResult:
-        if not row.feasible:
-            return CellResult(
-                dataflow=row.dataflow, num_pes=row.num_pes,
-                rf_bytes_per_pe=row.rf_bytes_per_pe, batch=row.batch,
-                objective=row.objective, feasible=False)
-        return CellResult(
-            dataflow=row.dataflow,
-            num_pes=row.num_pes,
-            rf_bytes_per_pe=row.rf_bytes_per_pe,
-            batch=row.batch,
-            objective=row.objective,
-            feasible=True,
-            energy_per_op=row.energy_per_op,
-            delay_per_op=row.delay_per_op,
-            edp_per_op=row.edp_per_op,
-            dram_accesses_per_op=row.dram_accesses_per_op,
         )

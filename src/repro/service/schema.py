@@ -2,12 +2,13 @@
 
 The service speaks three request verbs, all plain JSON:
 
-* ``batch`` (the default) -- a :class:`BatchRequest` describes a grid
-  of evaluation problems, (network | explicit layer list) x dataflows
-  x hardware points x objective.  The dispatcher
-  (:mod:`repro.service.dispatcher`) expands it into engine-level jobs
-  and answers with a :class:`BatchResult`: one :class:`CellResult` per
-  grid cell plus the cache traffic the request generated.
+* ``batch`` (the default) -- a :class:`BatchRequest` carries the
+  :class:`repro.api.Scenario` its fields describe, (network | explicit
+  layer list) x dataflows x hardware points x objective.  The
+  dispatcher (:mod:`repro.service.dispatcher`) evaluates it on a
+  session and answers with a :class:`BatchResult`: the scenario's
+  :class:`repro.api.Result` rows, rendered by :func:`cell_to_dict`,
+  plus the cache traffic the request generated.
 * ``dse`` -- a :class:`DseRequest` describes a hardware design-space
   exploration (:mod:`repro.dse`), either by a registered space name or
   by inline grid fields, and is answered with a :class:`DseResult`
@@ -20,6 +21,10 @@ The service speaks three request verbs, all plain JSON:
 Everything validates eagerly with clear ``ValueError`` messages, so a
 malformed spec fails at the service boundary (CLI exit code 2, or an
 ``error`` line in serve mode) instead of deep inside the optimizer.
+The grid fields validate through the same :mod:`repro.registry`
+normalizers as the library's ``Scenario`` and ``DesignSpace``; this
+module adds only the wire's own rules (known fields, ``network`` xor
+``layers``, layer objects, default ids).
 """
 
 from __future__ import annotations
@@ -28,41 +33,16 @@ import operator
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
-from repro.dataflows.registry import DATAFLOWS, get_dataflow
+from repro.api import Result, Scenario
 from repro.dse import DesignSpace, ParetoSet
 from repro.engine.cache import CacheStats
 from repro.nn.layer import LayerShape, LayerType
-from repro.registry import (
-    get_design_space,
-    network_layers,
-    network_registry,
-    objective_registry,
-)
+from repro.registry import get_design_space, normalize_int
 
 _LAYER_FIELDS = ("name", "H", "R", "E", "C", "M", "U", "N", "type",
                  "groups", "dilation")
 _REQUEST_FIELDS = ("id", "network", "layers", "batch", "dataflows",
                    "pe_counts", "rf_choices", "objective")
-
-
-def _positive_ints(values, what: str) -> Tuple[int, ...]:
-    if isinstance(values, int) and not isinstance(values, bool):
-        values = [values]  # a bare scalar is an obvious one-point grid
-    if not isinstance(values, (list, tuple)):
-        # Notably rejects strings: iterating "256" would silently turn
-        # it into the grid (2, 5, 6).
-        raise ValueError(
-            f"{what} must be a list of integers, got {values!r}")
-    try:
-        result = tuple(operator.index(v) for v in values)
-    except TypeError:
-        raise ValueError(
-            f"{what} must be a list of integers, got {values!r}") from None
-    if not result or any(v < 1 for v in result):
-        raise ValueError(
-            f"{what} must be a non-empty list of positive integers, "
-            f"got {values!r}")
-    return result
 
 
 def layer_from_dict(data: Dict) -> LayerShape:
@@ -117,62 +97,23 @@ def layer_to_dict(layer: LayerShape) -> Dict:
 
 @dataclass(frozen=True)
 class BatchRequest:
-    """One grid of evaluation problems, as submitted by a client."""
+    """One grid of evaluation problems, as submitted by a client.
+
+    Carries the validated :class:`repro.api.Scenario` it evaluates, the
+    way :class:`DseRequest` carries a :class:`repro.dse.DesignSpace`.
+    """
 
     request_id: str
-    dataflows: Tuple[str, ...]
-    pe_counts: Tuple[int, ...] = (256,)
-    #: Batch size N applied to a named ``network``; explicit ``layers``
-    #: carry their own N and ignore this field.
-    batch: int = 16
-    network: Optional[str] = None
-    layers: Optional[Tuple[LayerShape, ...]] = None
-    #: RF bytes/PE per hardware point; None picks each dataflow's
-    #: equal-area default (Section VI-B), as the paper's figures do.
-    rf_choices: Optional[Tuple[int, ...]] = None
-    objective: str = "energy"
-
-    def __post_init__(self) -> None:
-        if (self.network is None) == (self.layers is None):
-            raise ValueError(
-                f"request {self.request_id!r} must set exactly one of "
-                f"'network' or 'layers'")
-        if self.network is not None and self.network not in network_registry:
-            raise ValueError(
-                f"unknown network {self.network!r}; known: "
-                f"{sorted(network_registry)}")
-        if not self.dataflows:
-            raise ValueError(
-                f"request {self.request_id!r} names no dataflows")
-        for name in self.dataflows:
-            if name not in DATAFLOWS:
-                raise ValueError(
-                    f"unknown dataflow {name!r}; known: {list(DATAFLOWS)}")
-        try:
-            # Canonical spelling, as with dataflow names: the objective
-            # is part of the engine cache key, so "EDP" and "edp" must
-            # warm the same entries.
-            object.__setattr__(self, "objective",
-                               objective_registry.canonical(self.objective))
-        except KeyError:
-            raise ValueError(
-                f"unknown objective {self.objective!r}; known: "
-                f"{list(objective_registry)}") from None
-        if self.batch < 1:
-            raise ValueError(f"batch must be >= 1, got {self.batch}")
-
-    # ------------------------------------------------------------------
-
-    @property
-    def resolved_layers(self) -> Tuple[LayerShape, ...]:
-        """The layer list the request evaluates (network or explicit)."""
-        if self.layers is not None:
-            return self.layers
-        return network_layers(self.network, self.batch)
+    scenario: Scenario
 
     @classmethod
     def from_dict(cls, data: Dict, default_id: str = "req") -> "BatchRequest":
-        """Decode a request object, validating fields eagerly."""
+        """Decode a request object, validating fields eagerly.
+
+        The wire's scalar ``batch`` labels the grid's one batch size (a
+        named ``network`` is built at it; explicit ``layers`` carry
+        their own N); every other field is the scenario's own.
+        """
         if not isinstance(data, dict):
             raise ValueError(f"a request must be an object, got {data!r}")
         unknown = set(data) - set(_REQUEST_FIELDS)
@@ -180,94 +121,77 @@ class BatchRequest:
             raise ValueError(
                 f"unknown request field(s) {sorted(unknown)}; "
                 f"known: {list(_REQUEST_FIELDS)}")
-        dataflows = data.get("dataflows") or list(DATAFLOWS)
-        if isinstance(dataflows, str):
-            dataflows = [dataflows]
+        request_id = str(data.get("id", default_id))
         try:
-            dataflows = tuple(get_dataflow(str(n)).name for n in dataflows)
-        except KeyError as exc:
-            raise ValueError(str(exc.args[0])) from None
-        except TypeError:
+            scenario = Scenario(
+                workload=_workload(data, request_id, "'network' or 'layers'"),
+                dataflows=data.get("dataflows") or (),
+                batches=(normalize_int(data.get("batch", 16), "batch"),),
+                pe_counts=data.get("pe_counts", (256,)),
+                rf_choices=data.get("rf_choices"),
+                objective=data.get("objective", "energy"))
+        except TypeError as exc:
             raise ValueError(
-                f"'dataflows' must be a list of names, "
-                f"got {data.get('dataflows')!r}") from None
-        layers = data.get("layers")
-        if layers is not None:
-            if not isinstance(layers, list) or not layers:
-                raise ValueError("'layers' must be a non-empty list")
-            layers = tuple(layer_from_dict(entry) for entry in layers)
-        rf_choices = data.get("rf_choices")
-        if rf_choices is not None:
-            rf_choices = _positive_ints(rf_choices, "'rf_choices'")
-        try:
-            batch = int(data.get("batch", 16))
-        except TypeError:
-            raise ValueError(
-                f"'batch' must be an integer, "
-                f"got {data.get('batch')!r}") from None
-        return cls(
-            request_id=str(data.get("id", default_id)),
-            dataflows=dataflows,
-            pe_counts=_positive_ints(data.get("pe_counts", (256,)),
-                                     "'pe_counts'"),
-            batch=batch,
-            network=data.get("network"),
-            layers=layers,
-            rf_choices=rf_choices,
-            objective=str(data.get("objective", "energy")),
-        )
+                f"request {request_id!r} has a malformed field: "
+                f"{exc}") from None
+        return cls(request_id=request_id, scenario=scenario)
 
     def to_dict(self) -> Dict:
         """The JSON wire form of this request."""
+        scenario = self.scenario
         data: Dict = {
             "id": self.request_id,
-            "dataflows": list(self.dataflows),
-            "pe_counts": list(self.pe_counts),
-            "batch": self.batch,
-            "objective": self.objective,
+            "dataflows": list(scenario.dataflows),
+            "pe_counts": list(scenario.pe_counts),
+            "batch": scenario.batches[0],
+            "objective": scenario.objective,
         }
-        if self.network is not None:
-            data["network"] = self.network
-        if self.layers is not None:
-            data["layers"] = [layer_to_dict(l) for l in self.layers]
-        if self.rf_choices is not None:
-            data["rf_choices"] = list(self.rf_choices)
+        if isinstance(scenario.workload, str):
+            data["network"] = scenario.workload
+        else:
+            data["layers"] = [layer_to_dict(l) for l in scenario.workload]
+        if scenario.rf_choices is not None:
+            data["rf_choices"] = list(scenario.rf_choices)
         return data
 
 
-@dataclass(frozen=True)
-class CellResult:
-    """Aggregate metrics of one (dataflow, hardware) grid cell."""
+def _workload(data: Dict, request_id: str, choices: str):
+    """The wire's ``network`` xor ``layers`` as a workload value."""
+    if (data.get("network") is None) == (data.get("layers") is None):
+        raise ValueError(
+            f"request {request_id!r} must set exactly one of {choices}")
+    if data.get("layers") is None:
+        return data["network"]
+    layers = data["layers"]
+    if not isinstance(layers, list) or not layers:
+        raise ValueError("'layers' must be a non-empty list")
+    return tuple(layer_from_dict(entry) for entry in layers)
 
-    dataflow: str
-    num_pes: int
-    rf_bytes_per_pe: int
-    batch: int
-    objective: str
-    feasible: bool
-    energy_per_op: float = float("nan")
-    delay_per_op: float = float("nan")
-    edp_per_op: float = float("nan")
-    dram_accesses_per_op: float = float("nan")
 
-    def to_dict(self) -> Dict:
-        """The JSON wire form of this cell (metrics only when feasible)."""
-        data: Dict = {
-            "dataflow": self.dataflow,
-            "pes": self.num_pes,
-            "rf_bytes_per_pe": self.rf_bytes_per_pe,
-            "batch": self.batch,
-            "objective": self.objective,
-            "feasible": self.feasible,
-        }
-        if self.feasible:
-            data.update(
-                energy_per_op=self.energy_per_op,
-                delay_per_op=self.delay_per_op,
-                edp_per_op=self.edp_per_op,
-                dram_accesses_per_op=self.dram_accesses_per_op,
-            )
-        return data
+def cell_to_dict(row: Result) -> Dict:
+    """The JSON wire form of one grid cell (see docs/SERVICE.md).
+
+    Identity first -- ``dataflow``, ``pes``, ``rf_bytes_per_pe``,
+    ``batch``, ``objective``, ``feasible`` -- then, only for a feasible
+    cell, ``energy_per_op``, ``delay_per_op``, ``edp_per_op`` and
+    ``dram_accesses_per_op``.
+    """
+    data: Dict = {
+        "dataflow": row.dataflow,
+        "pes": row.num_pes,
+        "rf_bytes_per_pe": row.rf_bytes_per_pe,
+        "batch": row.batch,
+        "objective": row.objective,
+        "feasible": row.feasible,
+    }
+    if row.feasible:
+        data.update(
+            energy_per_op=row.energy_per_op,
+            delay_per_op=row.delay_per_op,
+            edp_per_op=row.edp_per_op,
+            dram_accesses_per_op=row.dram_accesses_per_op,
+        )
+    return data
 
 
 @dataclass(frozen=True)
@@ -275,7 +199,8 @@ class BatchResult:
     """The service's answer to one :class:`BatchRequest`."""
 
     request_id: str
-    cells: Tuple[CellResult, ...]
+    #: The scenario's :class:`repro.api.Result` rows, in grid order.
+    cells: Tuple[Result, ...]
     layer_jobs: int
     elapsed_s: float
     cache: CacheStats = field(default_factory=lambda: CacheStats(0, 0, 0))
@@ -289,7 +214,7 @@ class BatchResult:
         """The JSON wire form of this result."""
         return {
             "id": self.request_id,
-            "cells": [cell.to_dict() for cell in self.cells],
+            "cells": [cell_to_dict(cell) for cell in self.cells],
             "layer_jobs": self.layer_jobs,
             "feasible_cells": self.feasible_cells,
             "elapsed_s": self.elapsed_s,
@@ -309,9 +234,11 @@ def _cache_dict(stats: CacheStats) -> Dict:
     }
 
 
-_DSE_GRID_FIELDS = ("network", "layers", "batch", "dataflows", "pe_counts",
-                    "array_shapes", "rf_choices", "glb_choices",
-                    "equal_area", "area_budget", "objective", "metrics")
+#: Inline grid fields that are the DesignSpace fields of the same name.
+_DSE_SPACE_FIELDS = ("batch", "dataflows", "pe_counts", "array_shapes",
+                     "rf_choices", "glb_choices", "equal_area",
+                     "area_budget", "objective", "metrics")
+_DSE_GRID_FIELDS = ("network", "layers", *_DSE_SPACE_FIELDS)
 #: Sampling-budget fields: part of the DesignSpace, but meaningful on
 #: top of a registered space too, so they never conflict with 'space'.
 _DSE_SAMPLING_FIELDS = ("sample", "seed", "sampler")
@@ -319,20 +246,28 @@ _DSE_FIELDS = ("id", "verb", "space", "include_dominated", "stream",
                "chunk", *_DSE_SAMPLING_FIELDS, *_DSE_GRID_FIELDS)
 
 
-def _array_shapes(values) -> Tuple[Tuple[int, int], ...]:
-    """Decode the ``array_shapes`` wire field: a list of [h, w] pairs."""
-    if not isinstance(values, (list, tuple)):
+def _inline_space(data: Dict, request_id: str,
+                  sampling: Dict) -> DesignSpace:
+    """The :class:`repro.dse.DesignSpace` a dse request's inline grid
+    fields describe."""
+    workload = _workload(data, request_id,
+                         "'network' or 'layers' (or a registered 'space')")
+    grid = {name: data[name] for name in _DSE_SPACE_FIELDS if name in data}
+    if grid.get("dataflows", ()) is None:
+        del grid["dataflows"]  # null: every dataflow, as when absent
+    if "equal_area" in grid:
+        grid["equal_area"] = bool(grid["equal_area"])
+    try:
+        if grid.get("area_budget") is not None:
+            # The float the wire has always sent: a budget of 500 and
+            # one of 500.0 fingerprint differently.
+            grid["area_budget"] = float(grid["area_budget"])
+        return DesignSpace(workload=workload, **grid, **sampling)
+    except TypeError as exc:
+        # A list where the budget belongs, a number where the metric
+        # list belongs: a clean error line in serve mode, not a crash.
         raise ValueError(
-            f"'array_shapes' must be a list of [height, width] pairs, "
-            f"got {values!r}")
-    shapes = []
-    for entry in values:
-        if (not isinstance(entry, (list, tuple)) or len(entry) != 2):
-            raise ValueError(
-                f"each array shape must be a [height, width] pair, "
-                f"got {entry!r}")
-        shapes.append((operator.index(entry[0]), operator.index(entry[1])))
-    return tuple(shapes)
+            f"request {request_id!r} has a malformed field: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -376,26 +311,11 @@ class DseRequest:
         if verb != "dse":
             raise ValueError(f"not a dse request (verb {verb!r})")
         request_id = str(data.get("id", default_id))
-        include_dominated = bool(data.get("include_dominated", False))
-        stream = bool(data.get("stream", False))
-        try:
-            chunk = (operator.index(data["chunk"])
-                     if data.get("chunk") is not None else None)
-            sampling: Dict = {}
-            if data.get("sample") is not None:
-                sampling["sample"] = operator.index(data["sample"])
-            if "seed" in data:
-                sampling["seed"] = operator.index(data["seed"])
-            if "sampler" in data:
-                sampling["sampler"] = str(data["sampler"])
-        except TypeError:
-            raise ValueError(
-                f"request {request_id!r} has a malformed sampling/chunk "
-                f"field (integer expected): {data!r}") from None
-        if chunk is not None and chunk < 1:
-            raise ValueError(
-                f"request {request_id!r}: 'chunk' must be >= 1, "
-                f"got {chunk}")
+        sampling = {name: data[name] for name in _DSE_SAMPLING_FIELDS
+                    if name in data}
+        if sampling.get("sample", 1) is None:
+            del sampling["sample"]  # null: no budget, as when absent
+        name = None
         if "space" in data:
             inline = sorted(set(data) & set(_DSE_GRID_FIELDS))
             if inline:
@@ -409,65 +329,15 @@ class DseRequest:
                 raise ValueError(str(exc.args[0])) from None
             if sampling:
                 space = replace(space, **sampling)
-            return cls(request_id=request_id, space=space, space_name=name,
-                       include_dominated=include_dominated,
-                       stream=stream, chunk=chunk)
-        if (data.get("network") is None) == (data.get("layers") is None):
-            raise ValueError(
-                f"request {request_id!r} must set exactly one of "
-                f"'network' or 'layers' (or a registered 'space')")
-        options: Dict = {}
-        if data.get("layers") is not None:
-            layers = data["layers"]
-            if not isinstance(layers, list) or not layers:
-                raise ValueError("'layers' must be a non-empty list")
-            options["workload"] = tuple(layer_from_dict(entry)
-                                        for entry in layers)
         else:
-            options["workload"] = str(data["network"])
-        # Wrong-typed wire values (a string where a list belongs, null
-        # where an int belongs) surface as TypeError from the coercions
-        # below; fold them into ValueError so a malformed request stays
-        # a clean error line in serve mode instead of killing the loop.
-        try:
-            dataflows = data.get("dataflows")
-            if dataflows is not None:
-                options["dataflows"] = (
-                    (dataflows,) if isinstance(dataflows, str)
-                    else tuple(str(n) for n in dataflows))
-            if "batch" in data:
-                options["batch"] = int(data["batch"])
-            if "pe_counts" in data:
-                options["pe_counts"] = _positive_ints(data["pe_counts"],
-                                                      "'pe_counts'")
-            if "array_shapes" in data:
-                options["array_shapes"] = _array_shapes(
-                    data["array_shapes"])
-            if "rf_choices" in data:
-                options["rf_choices"] = tuple(
-                    operator.index(v) for v in data["rf_choices"])
-            if "glb_choices" in data:
-                options["glb_choices"] = tuple(
-                    operator.index(v) for v in data["glb_choices"])
-            if "equal_area" in data:
-                options["equal_area"] = bool(data["equal_area"])
-            if "area_budget" in data and data["area_budget"] is not None:
-                options["area_budget"] = float(data["area_budget"])
-            if "objective" in data:
-                options["objective"] = str(data["objective"])
-            if "metrics" in data:
-                metrics = data["metrics"]
-                options["metrics"] = ((metrics,)
-                                      if isinstance(metrics, str)
-                                      else tuple(str(m) for m in metrics))
-            space = DesignSpace(**options, **sampling)
-        except TypeError as exc:
-            raise ValueError(
-                f"request {request_id!r} has a malformed field: "
-                f"{exc}") from None
-        return cls(request_id=request_id, space=space,
-                   include_dominated=include_dominated,
-                   stream=stream, chunk=chunk)
+            space = _inline_space(data, request_id, sampling)
+        chunk = data.get("chunk")
+        return cls(request_id=request_id, space=space, space_name=name,
+                   include_dominated=bool(data.get("include_dominated",
+                                                   False)),
+                   stream=bool(data.get("stream", False)),
+                   chunk=(None if chunk is None
+                          else normalize_int(chunk, "chunk")))
 
     def to_dict(self) -> Dict:
         """The JSON wire form (a registered space stays by-name)."""

@@ -860,6 +860,7 @@ class ExperimentStore:
 
         def body(conn: sqlite3.Connection) -> int:
             ids = self._ids(conn)
+            values = []
             for row in rows:
                 feasible = bool(row.feasible)
                 metrics = [getattr(row, name) if feasible else None
@@ -867,15 +868,7 @@ class ExperimentStore:
                 cand_index = getattr(row, "index", None)
                 if isinstance(cand_index, int) and cand_index < 0:
                     cand_index = None  # hand-built rows have no identity
-                conn.execute(
-                    "INSERT INTO cells (run_id, kind, workload,"
-                    " dataflow_id, batch, num_pes, rf_bytes_per_pe,"
-                    " objective_id, feasible, energy_per_op, delay_per_op,"
-                    " edp_per_op, dram_reads_per_op, dram_writes_per_op,"
-                    " dram_accesses_per_op, array_h, array_w,"
-                    " buffer_bytes, area, cand_index, space_fp) "
-                    "VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?,"
-                    " ?, ?, ?, ?, ?, ?)",
+                values.append(
                     (run_id, kind, row.workload,
                      ids("dataflow", row.dataflow), row.batch,
                      row.num_pes, row.rf_bytes_per_pe,
@@ -886,6 +879,16 @@ class ExperimentStore:
                      getattr(row, "buffer_bytes", None),
                      getattr(row, "area", None),
                      cand_index, space_fp))
+            # One statement in row order: cell_id order is read order.
+            conn.executemany(
+                "INSERT INTO cells (run_id, kind, workload,"
+                " dataflow_id, batch, num_pes, rf_bytes_per_pe,"
+                " objective_id, feasible, energy_per_op, delay_per_op,"
+                " edp_per_op, dram_reads_per_op, dram_writes_per_op,"
+                " dram_accesses_per_op, array_h, array_w,"
+                " buffer_bytes, area, cand_index, space_fp) "
+                "VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?,"
+                " ?, ?, ?, ?, ?, ?)", values)
             return len(rows)
         return self._write_txn(body)
 

@@ -23,6 +23,7 @@ from itertools import groupby
 from operator import itemgetter
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple, Union
 
+from repro import faults
 from repro.engine.cache import (
     MISSING,
     CacheKey,
@@ -109,8 +110,9 @@ class StoreTierCache(EvaluationCache):
         run one at a time, swapping the queues out under the cache lock
         and writing outside it: other threads' lookups, puts and records
         never wait on the database.  A write that fails after the
-        store's retries puts everything back for the next commit (a
-        pool callback's error reaches no one) and raises here.
+        store's retries puts everything back for the next commit,
+        counts ``store_commit_failures`` in :func:`repro.faults.stats`
+        and raises here (a pool callback logs it instead).
         """
         with self._commit_lock:
             with self._lock:
@@ -128,6 +130,7 @@ class StoreTierCache(EvaluationCache):
                     self._queue[:0] = evaluations
                     self._cells[:0] = cells
                     self._checkpoints = {**checkpoints, **self._checkpoints}
+                faults.record("store_commit_failures")
                 raise
 
     def _write(self, evaluations, cells, checkpoints) -> Optional[int]:

@@ -409,7 +409,7 @@ class TestRegistries:
             request = BatchRequest.from_dict(
                 {"network": "tinynet-test", "dataflows": ["RS"],
                  "pe_counts": [64], "batch": 1})
-            assert request.resolved_layers[0].name == "C1"
+            assert request.scenario.layers_for(1)[0].name == "C1"
         finally:
             network_registry.remove("tinynet-test")
 

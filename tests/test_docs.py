@@ -54,7 +54,8 @@ class TestDocsPages:
                        "retry_after", "--window", "priority",
                        "is_terminal", "lru_hits", "p95_ms",
                        "loadgen.py", "--tcp", "deadline_ms",
-                       "timeout", "--deadline-ms", "max_retries"):
+                       "timeout", "--deadline-ms", "max_retries",
+                       "cell_to_dict", "| `dram_accesses_per_op` |"):
             assert anchor in text, f"SERVICE.md lost its {anchor} coverage"
 
     def test_resilience_page_covers_the_fault_contract(self):
@@ -64,7 +65,8 @@ class TestDocsPages:
                        "netserve.conn_drop", "pool.chunk_slow",
                        "REPRO_FAULTS", "FaultPlan", "FaultStats",
                        "backoff", "bit-identical",
-                       "chaos.py", "deadline_ms", "max_pool_retries"):
+                       "chaos.py", "deadline_ms", "max_pool_retries",
+                       "store_commit_failures"):
             assert anchor in text, \
                 f"RESILIENCE.md lost its {anchor} coverage"
 

@@ -13,6 +13,7 @@ executor threads, the recorded run still finalized).
 
 import io
 import itertools
+import logging
 import random
 import sqlite3
 import threading
@@ -350,9 +351,10 @@ class TestStoreWriteRetry:
                 == {run.run_id}
 
     def test_a_failed_pool_callback_commit_is_written_by_the_next(
-            self, tmp_path, monkeypatch):
-        """A pool callback's commit error reaches no one; what it
-        swapped out rides the next commit, exactly once."""
+            self, tmp_path, monkeypatch, caplog):
+        """A pool callback's failed commit is counted and logged through
+        ``repro.engine``, never raised into ``concurrent.futures``; what
+        it swapped out rides the next commit, exactly once."""
         written = []
         real = ExperimentStore.put_evaluations
 
@@ -372,10 +374,14 @@ class TestStoreWriteRetry:
             rows = session.evaluate(Scenario(**GRID), parallel=True)
             assert faults.stats().injected["store.write_io_error"] \
                 == WRITE_ATTEMPTS
+            assert faults.stats().store_commit_failures == 1
             with ExperimentStore(path) as reader:
                 assert reader.cell_count() == len(rows) == 3
                 assert reader.evaluation_count() == 3
         assert len(written) == len(set(written)) == 3
+        errors = [record.name for record in caplog.records
+                  if record.levelno >= logging.ERROR]
+        assert errors == ["repro.engine"]
 
     def test_a_failed_write_keeps_checkpoint_and_cells_in_step(
             self, tmp_path):

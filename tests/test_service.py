@@ -1,9 +1,11 @@
 """Tests for the batch evaluation service (:mod:`repro.service`).
 
-Pins the service contract: schema round-trips and validation, grid
-expansion into deduplicated engine jobs, parity between the dispatcher
-path and direct engine evaluation, per-request cache accounting, and
-the JSON-lines serve loop including its error answers.
+Pins the service contract: schema round-trips and validation (the
+same inputs refused as by the library's ``Scenario``/``DesignSpace``),
+grid expansion into deduplicated engine jobs, the ``cell`` wire
+object's keys, parity between the dispatcher path and direct engine
+evaluation, per-request cache accounting, and the JSON-lines serve
+loop including its error answers.
 """
 
 import io
@@ -11,14 +13,16 @@ import json
 
 import pytest
 
+from repro.api import Scenario, Session
 from repro.dataflows.registry import DATAFLOWS
+from repro.dse import DesignSpace
 from repro.engine import EngineConfig, EvaluationCache, EvaluationEngine
 from repro.nn.networks import alexnet_conv_layers
+from repro.registry import dataflow_registry, register_dataflow
 from repro.service import (
     BatchDispatcher,
     BatchRequest,
     equal_area_hardware,
-    expand_request,
     parse_requests,
     serve,
 )
@@ -42,18 +46,18 @@ class TestSchema:
         request = tiny_request(dataflows=["rs", "ws"], pe_counts=[64, 256])
         again = BatchRequest.from_dict(request.to_dict())
         assert again == request
-        assert again.dataflows == ("RS", "WS")  # normalized upper-case
+        assert again.scenario.dataflows == ("RS", "WS")  # upper-cased
 
     def test_defaults_to_all_dataflows(self):
         request = BatchRequest.from_dict({"network": "alexnet-conv"})
-        assert request.dataflows == tuple(DATAFLOWS)
-        assert request.pe_counts == (256,)
+        assert request.scenario.dataflows == tuple(DATAFLOWS)
+        assert request.scenario.pe_counts == (256,)
 
     def test_explicit_layers_round_trip(self):
         layers = [layer_to_dict(l) for l in alexnet_conv_layers(2)]
         request = BatchRequest.from_dict(
             {"layers": layers, "dataflows": ["RS"]})
-        assert request.resolved_layers == tuple(alexnet_conv_layers(2))
+        assert request.scenario.workload == tuple(alexnet_conv_layers(2))
         assert BatchRequest.from_dict(request.to_dict()) == request
 
     def test_layer_e_derived_from_eq1(self):
@@ -90,8 +94,8 @@ class TestSchema:
         request = BatchRequest.from_dict(
             {"network": "alexnet-conv", "pe_counts": 256,
              "rf_choices": 512, "dataflows": ["RS"]})
-        assert request.pe_counts == (256,)
-        assert request.rf_choices == (512,)
+        assert request.scenario.pe_counts == (256,)
+        assert request.scenario.rf_choices == (512,)
 
     def test_parse_requests_single_and_list(self):
         single = parse_requests({"network": "alexnet-conv"})
@@ -105,16 +109,112 @@ class TestSchema:
             parse_requests("run everything")
 
 
+#: Every front door, built from a PE axis and a batch size.
+FRONT_DOORS = {
+    "Scenario": lambda pes, batch: Scenario(
+        workload="alexnet-fc", pe_counts=pes, batches=(batch,)),
+    "DesignSpace": lambda pes, batch: DesignSpace(
+        workload="alexnet-fc", pe_counts=pes, batch=batch),
+    "BatchRequest": lambda pes, batch: BatchRequest.from_dict(
+        {"network": "alexnet-fc", "pe_counts": list(pes), "batch": batch}),
+    "DseRequest": lambda pes, batch: DseRequest.from_dict(
+        {"verb": "dse", "network": "alexnet-fc", "pe_counts": list(pes),
+         "batch": batch}),
+}
+
+
+class TestOneVocabulary:
+    """The library and the wire validate a grid through the same
+    registry normalizers, so they accept and refuse the same inputs."""
+
+    @pytest.mark.parametrize("door", sorted(FRONT_DOORS))
+    @pytest.mark.parametrize("pes,batch", [
+        ((255.9,), 16), ((256,), 2.5), ((256,), "4")],
+        ids=["float-pes", "float-batch", "string-batch"])
+    def test_every_front_door_refuses_non_integral_sizes(self, door, pes,
+                                                         batch):
+        build = FRONT_DOORS[door]
+        build((256,), 16)  # the integral twin is accepted
+        with pytest.raises(ValueError):
+            build(pes, batch)
+
+    def test_aliased_dataflow_is_answered_over_the_service(self):
+        """A model registered under an alias is served, its rows
+        labelled by the alias, as the facade labels them."""
+        class AliasFlow(type(DATAFLOWS["RS"])):
+            name = "INNER"
+
+        register_dataflow(AliasFlow(), name="ALIAS")
+        try:
+            spec = {"network": "alexnet-fc", "batch": 1,
+                    "dataflows": ["alias"], "pe_counts": [256]}
+            output = io.StringIO()
+            lines = [json.dumps(dict(spec, verb=verb))
+                     for verb in ("batch", "evaluate")]
+            serve(io.StringIO("\n".join(lines) + "\n"), output,
+                  BatchDispatcher(serial_engine()))
+            batch, cell, streamed = [
+                json.loads(line) for line in output.getvalue().splitlines()]
+            with Session(parallel=False) as session:
+                (row,) = session.evaluate(Scenario(
+                    workload="alexnet-fc", dataflows=("alias",),
+                    batches=(1,), pe_counts=(256,)))
+            assert row.dataflow == "ALIAS" and row.feasible
+            assert batch["cells"] == streamed["cells"] == [
+                {k: v for k, v in cell.items()
+                 if k not in ("id", "verb", "event", "index")}]
+            assert cell["dataflow"] == row.dataflow
+            assert cell["energy_per_op"] == row.energy_per_op
+        finally:
+            dataflow_registry.remove("ALIAS")
+
+
+#: The ``cell`` wire object of docs/SERVICE.md, in key order.
+CELL_IDENTITY = ["dataflow", "pes", "rf_bytes_per_pe", "batch",
+                 "objective", "feasible"]
+CELL_METRICS = ["energy_per_op", "delay_per_op", "edp_per_op",
+                "dram_accesses_per_op"]
+
+
+class TestCellWireObject:
+    """The ``cell`` object's keys: identity always, metrics only when
+    feasible (alexnet-fc on 16 PEs: RS maps, WS does not)."""
+
+    SPEC = {"id": "c", "network": "alexnet-fc", "batch": 1,
+            "dataflows": ["RS", "WS"], "pe_counts": [16]}
+
+    @staticmethod
+    def keys(cell) -> list:
+        return CELL_IDENTITY + (CELL_METRICS if cell["feasible"] else [])
+
+    def test_batch_result_cells(self):
+        result = BatchDispatcher(serial_engine()).run(
+            BatchRequest.from_dict(self.SPEC))
+        cells = result.to_dict()["cells"]
+        assert [cell["feasible"] for cell in cells] == [True, False]
+        for cell in cells:
+            assert list(cell) == self.keys(cell)
+
+    def test_evaluate_cell_events(self):
+        events = list(BatchDispatcher(serial_engine()).stream_batch(
+            BatchRequest.from_dict(self.SPEC)))
+        cells = [event for event in events if event["event"] == "cell"]
+        assert [cell["feasible"] for cell in cells] == [True, False]
+        for cell in cells:
+            assert list(cell) == ["id", "verb", "event", "index",
+                                  *self.keys(cell)]
+
+
 class TestExpansion:
     def test_default_rf_is_equal_area_per_dataflow(self):
         request = tiny_request(dataflows=["RS", "WS"])
-        cells = expand_request(request)
+        cells = request.scenario.cells()
         assert [c.rf_bytes_per_pe for c in cells] == [
             DATAFLOWS["RS"].rf_bytes_per_pe, DATAFLOWS["WS"].rf_bytes_per_pe]
 
     def test_explicit_rf_grid(self):
         request = tiny_request(rf_choices=[256, 512], pe_counts=[64, 256])
-        cells = expand_request(request)
+        cells = request.scenario.cells()
         assert len(cells) == 4
         assert {(c.num_pes, c.rf_bytes_per_pe) for c in cells} == {
             (64, 256), (64, 512), (256, 256), (256, 512)}
@@ -122,12 +222,13 @@ class TestExpansion:
     def test_oversized_rf_points_pruned(self):
         # 16 kB of RF per PE at 1024 PEs blows the Eq. (2) budget.
         request = tiny_request(rf_choices=[512, 16384], pe_counts=[1024])
-        assert [c.rf_bytes_per_pe for c in expand_request(request)] == [512]
+        assert [c.rf_bytes_per_pe
+                for c in request.scenario.cells()] == [512]
 
     def test_empty_expansion_is_an_error(self):
         with pytest.raises(ValueError, match="no valid hardware point"):
-            expand_request(tiny_request(rf_choices=[16384],
-                                        pe_counts=[1024]))
+            BatchDispatcher(serial_engine()).run(
+                tiny_request(rf_choices=[16384], pe_counts=[1024]))
 
     def test_equal_area_hardware_default_rf(self):
         hw = equal_area_hardware("RS", 256)
