@@ -16,10 +16,12 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, replace
-from typing import Iterator
+from typing import Iterator, List, NamedTuple, Optional, Tuple
+
+import numpy as np
 
 from repro.arch.hardware import HardwareConfig, square_array_geometry
-from repro.kernels import concat_candidates, regroup_candidates
+from repro.kernels import CandidateArrays, Segment, concat_candidates
 from repro.mapping.divisors import divisors_up_to, thin_candidates
 from repro.mapping.mapping import Mapping
 from repro.nn.layer import LayerShape
@@ -27,6 +29,15 @@ from repro.nn.layer import LayerShape
 #: Fan-out cap on the group-parallelism factors explored per layer
 #: (mirrors the divisor thinning inside the dense enumerators).
 _GROUP_PARALLEL_LIMIT = 6
+
+#: Slot bound of one batch enumeration.  A layer that would take a
+#: batch past it starts the next batch, so only a batch of one layer
+#: is ever larger, and no block outgrows the largest single-layer one.
+#: A block under 1k slots pays its scoring call's overhead whatever its
+#: size; by 8k slots the cost per slot has flattened, and it rises
+#: again once a block no longer fits in cache (docs/PERFORMANCE.md,
+#: "One kernel pass per run of searches").
+_BATCH_SLOTS = 16384
 
 
 def group_parallel_options(groups: int, hw: HardwareConfig):
@@ -54,6 +65,107 @@ def partition_hardware(hw: HardwareConfig, g_p: int) -> HardwareConfig:
     h, w = square_array_geometry(pes)
     return replace(hw, num_pes=pes, array_h=h, array_w=w,
                    buffer_words=hw.buffer_words // g_p)
+
+
+def dense_problems(layer: LayerShape, hw: HardwareConfig
+                   ) -> List[Tuple[LayerShape, HardwareConfig, int]]:
+    """The dense sub-problems ``(layer, hw, g_p)`` of one layer's search.
+
+    A dense layer is its own single problem (``g_p = 1``).  A grouped
+    layer's are the per-group sub-conv on each group-parallelism
+    partition, in :func:`group_parallel_options` order -- the loop
+    nesting of the scalar driver in :meth:`Dataflow.enumerate_mappings`.
+    """
+    if layer.groups == 1:
+        return [(layer, hw, 1)]
+    sub = layer.per_group()
+    return [(sub, partition_hardware(hw, g_p), g_p)
+            for g_p in group_parallel_options(layer.groups, hw)]
+
+
+class FoldPlan(NamedTuple):
+    """The Python half of one dense enumeration: its folds, no NumPy yet.
+
+    ``rows`` is the dataflow's own record of the folds (divisor pairs,
+    array configurations, ...), ``folds`` counts them and
+    ``scenarios`` is K, so the plan fills ``folds * scenarios`` slots.
+    :meth:`Dataflow.dense_batch_arrays` turns the plans of a batch into
+    one block.
+    """
+
+    rows: object
+    folds: int
+    scenarios: int
+
+
+class LayerPlan(NamedTuple):
+    """One layer of a batch, planned: its dense problems and their slots.
+
+    ``problems`` holds the ``(layer, hw, FoldPlan)`` triple of each of
+    the layer's dense problems (:func:`dense_problems`) and ``g_ps``
+    their group parallelism; ``folds`` and ``slots`` are their totals.
+    The batch driver sums ``slots`` against its bound; a layer left out
+    rides on the block as its ``overflow`` so the next batch need not
+    plan it again.
+    """
+
+    layer: LayerShape
+    problems: Tuple[Tuple[LayerShape, HardwareConfig, FoldPlan], ...]
+    g_ps: Tuple[int, ...]
+    folds: int
+    slots: int
+
+
+class PerProblem:
+    """A batch's dense problems, as the operands of its one NumPy pass.
+
+    ``problems`` holds ``(layer, hw, plan)`` triples (see
+    :meth:`Dataflow.dense_batch_arrays`); :attr:`layers`,
+    :attr:`hardware` and :attr:`plans` (each plan's ``rows``) list them
+    in batch order, :attr:`counts` their fold counts and :attr:`folds`
+    the total.  A per-problem constant -- ``per("N")`` for a layer
+    attribute, :meth:`each` for any other value -- is, for a batch of
+    one, the problem's own Python value, so a lone search computes
+    exactly what it always did; for a batch of several, a column with
+    one value per fold.  An int column keeps int64 arithmetic exact, and
+    a float one holds the value Python computed; NumPy converts a
+    Python operand the same way before the arithmetic, so each
+    expression yields the bits of its scalar twin either way.
+    """
+
+    def __init__(self, problems) -> None:
+        self.layers = [layer for layer, _hw, _plan in problems]
+        self.hardware = [hw for _layer, hw, _plan in problems]
+        self.plans = [plan.rows for _layer, _hw, plan in problems]
+        self.counts = [plan.folds for _layer, _hw, plan in problems]
+        self.folds = sum(self.counts)
+        self._one = len(self.counts) == 1
+
+    def __call__(self, name: str, dtype=np.int64):
+        """Each problem layer's attribute ``name`` as an operand."""
+        if self._one:
+            return getattr(self.layers[0], name)
+        return self.each([getattr(layer, name) for layer in self.layers],
+                         dtype)
+
+    def each(self, values, dtype=np.int64):
+        """One value per problem, as an operand (see the class)."""
+        if self._one:
+            return values[0]
+        return np.repeat(np.array(values, dtype=dtype), self.counts)
+
+    def full(self, operand) -> np.ndarray:
+        """An operand as a float64 column the block keeps, one per fold."""
+        if self._one:
+            return np.full(self.folds, operand, dtype=np.float64)
+        return operand.astype(np.float64)
+
+    def column(self, rows_of, dtype=np.int64) -> np.ndarray:
+        """Every problem's ``rows_of(plan rows)`` values, back to back."""
+        if self._one:
+            return np.array(rows_of(self.plans[0]), dtype=dtype)
+        return np.array([value for rows in self.plans
+                         for value in rows_of(rows)], dtype=dtype)
 
 
 def regroup_mapping(mapping: Mapping, layer: LayerShape,
@@ -192,55 +304,164 @@ class Dataflow(abc.ABC):
         axis); tap counts stay ``R``-based.
         """
 
-    def enumerate_candidate_arrays(self, layer: LayerShape,
-                                   hw: HardwareConfig):
-        """The candidate space as one structure-of-arrays batch, or None.
+    def enumerate_candidate_arrays(self, layers, hw: HardwareConfig
+                                   ) -> Optional[CandidateArrays]:
+        """The candidate spaces of a batch of layers as one block, or None.
 
         The vectorized search path (:mod:`repro.kernels`): same rows,
         same order, same feasibility filters as
         :meth:`enumerate_mappings`, as a fold x scenario grid of NumPy
         columns the scoring kernel can reduce in a handful of array
-        ops.  Grouped layers reuse the same driver decomposition as the
-        scalar path -- one dense block per ``g_p``, concatenated along
-        the fold axis in loop order -- so scalar/vector parity is
-        preserved by construction.  A ``g_p`` block is enumerated on
-        its partition's geometry; its ``demand`` is later compared with
-        the partition's ``buffer_words // g_p``
-        (:meth:`~repro.kernels.CandidateArrays.feasible`).  Returns
-        None (scalar fallback) when the dataflow does not implement
-        :meth:`dense_candidate_arrays`.
+        ops.  ``layers`` is one :class:`LayerShape` or an iterable of
+        them, all searched on ``hw``'s array: the block holds one
+        :class:`~repro.kernels.Segment` per layer it covers, in order.
+        It covers the longest prefix whose slots stay within
+        ``_BATCH_SLOTS`` -- always the first layer, however large --
+        and reads no layer beyond the first that does not fit, or
+        beyond a prefix that fills the bound.  A layer read but left
+        out rides on the block, planned, as its ``overflow``
+        (:class:`LayerPlan`); an item of ``layers`` may be such a plan,
+        made by an earlier call on the same array, which is then not
+        planned again.
+
+        Each layer is split into its dense problems
+        (:func:`dense_problems`): itself, or for a grouped layer one
+        per-group sub-conv per ``g_p`` partition, enumerated on the
+        partition's geometry, in the scalar driver's loop order, so
+        scalar/vector parity holds by construction.  Each problem's
+        :meth:`dense_fold_plan` runs its Python loops, then one
+        :meth:`dense_batch_arrays` pass evaluates every fold of the
+        batch.  A grouped layer's folds carry their ``g_p`` (active PEs
+        scaled by it), and their ``demand`` is later compared with the
+        partition's ``buffer_words // g_p``
+        (:meth:`~repro.kernels.CandidateArrays.feasible`).
+
+        A dataflow that overrides only :meth:`dense_candidate_arrays`
+        enumerates a batch of one through its override.  Returns None
+        (scalar fallback) when the dataflow has no array enumerator.
         """
-        if layer.groups == 1:
-            return self.dense_candidate_arrays(layer, hw)
-        sub = layer.per_group()
-        blocks = []
-        for g_p in group_parallel_options(layer.groups, hw):
-            block = self.dense_candidate_arrays(sub,
-                                                partition_hardware(hw, g_p))
+        run = iter((layers,) if isinstance(layers, LayerShape) else layers)
+        if type(self).dense_candidate_arrays is not \
+                Dataflow.dense_candidate_arrays:
+            return self._single_layer_block(next(run), hw)
+        plans: List[LayerPlan] = []
+        slots = 0
+        overflow = None
+        for item in run:
+            plan = (item if isinstance(item, LayerPlan)
+                    else self._plan_layer(item, hw))
+            if plan is None:
+                return None
+            if plans and slots + plan.slots > _BATCH_SLOTS:
+                overflow = plan
+                break
+            plans.append(plan)
+            slots += plan.slots
+            if slots >= _BATCH_SLOTS:
+                break
+        segments, folds = [], 0
+        for plan in plans:
+            segments.append(Segment(plan.layer, folds, folds + plan.folds))
+            folds += plan.folds
+        problems = [problem for plan in plans for problem in plan.problems]
+        block = self.dense_batch_arrays(problems)
+        return _as_batch(block, segments,
+                         [g_p for plan in plans for g_p in plan.g_ps],
+                         [fold_plan.folds for _l, _h, fold_plan in problems],
+                         overflow)
+
+    def _plan_layer(self, layer: LayerShape, hw: HardwareConfig
+                    ) -> Optional[LayerPlan]:
+        """Plan each dense problem of ``layer``; None without plans."""
+        problems, g_ps = [], []
+        folds = slots = 0
+        for sub, sub_hw, g_p in dense_problems(layer, hw):
+            plan = self.dense_fold_plan(sub, sub_hw)
+            if plan is None:
+                return None
+            problems.append((sub, sub_hw, plan))
+            g_ps.append(g_p)
+            folds += plan.folds
+            slots += plan.folds * plan.scenarios
+        return LayerPlan(layer, tuple(problems), tuple(g_ps), folds, slots)
+
+    def _single_layer_block(self, layer: LayerShape, hw: HardwareConfig
+                            ) -> Optional[CandidateArrays]:
+        """One layer through an overridden :meth:`dense_candidate_arrays`.
+
+        A grouped layer's per-partition blocks are spliced along the
+        fold axis (:func:`~repro.kernels.concat_candidates`).
+        """
+        blocks, g_ps, counts = [], [], []
+        for sub, sub_hw, g_p in dense_problems(layer, hw):
+            block = self.dense_candidate_arrays(sub, sub_hw)
             if block is None:
                 return None
-            if len(block):
-                blocks.append(regroup_candidates(block, g_p))
-        return concat_candidates(blocks)
+            if block.pes.shape[0]:
+                blocks.append(block)
+                g_ps.append(g_p)
+                counts.append(block.pes.shape[0])
+        # A copy: the override's own block is never modified.
+        return _as_batch(replace(concat_candidates(blocks)),
+                         [Segment(layer, 0, sum(counts))], g_ps, counts)
 
-    def dense_candidate_arrays(self, layer: LayerShape,
-                               hw: HardwareConfig):
-        """Structure-of-arrays twin of :meth:`enumerate_dense`, or None.
+    def dense_fold_plan(self, layer: LayerShape, hw: HardwareConfig
+                        ) -> Optional[FoldPlan]:
+        """The folds of one dense problem, before any NumPy, or None.
 
-        The contract of a block that carries ``demand``: it never reads
-        ``hw.buffer_words``.  Its ``mask`` holds only the
-        buffer-independent predicates and its ``demand`` the buffer
-        words each slot claims, so the one block answers every buffer
-        size of its (layer, array) point -- the search reuses it while
-        only the buffer (and, where :attr:`reads_rf` is False, the RF)
-        changes.  A block without ``demand`` may filter on the buffer
-        in its ``mask``; it is then never reused.
-
-        The base implementation returns None, which tells
-        ``optimize_mapping`` to fall back to the streaming scalar path
-        (so third-party dataflows keep working unmodified).
+        The first half of a built-in array enumerator: the Python loops
+        over the tiling choices (divisor lists, array configurations)
+        in :meth:`enumerate_dense`'s order.  The batch driver sums the
+        plans' slots against its bound before :meth:`dense_batch_arrays`
+        evaluates them.  The base implementation returns None: no array
+        enumerator (see :meth:`dense_candidate_arrays`).
         """
         return None
+
+    def dense_batch_arrays(self, problems) -> CandidateArrays:
+        """One NumPy pass over the folds of a batch of dense problems.
+
+        ``problems`` holds ``(layer, hw, plan)`` triples, ``plan`` from
+        :meth:`dense_fold_plan`.  Returns one block whose folds are the
+        problems' folds back to back, in order, with each problem's
+        layer and hardware constants as per-fold columns
+        (:class:`PerProblem`) -- the dense space of each problem, as
+        :meth:`dense_candidate_arrays` describes it.  Implemented by
+        every dataflow whose :meth:`dense_fold_plan` returns plans.
+        """
+        raise NotImplementedError(
+            f"{type(self).__name__} plans folds but does not implement "
+            f"dense_batch_arrays")
+
+    def dense_candidate_arrays(self, layer: LayerShape,
+                               hw: HardwareConfig
+                               ) -> Optional[CandidateArrays]:
+        """Structure-of-arrays twin of :meth:`enumerate_dense`, or None.
+
+        The single-layer array enumerator.  The contract of a block
+        that carries ``demand``: it never reads ``hw.buffer_words``.
+        Its ``mask`` holds only the buffer-independent predicates and
+        its ``demand`` the buffer words each slot claims, so the one
+        block answers every buffer size of its (layer, array) point --
+        the search reuses it while only the buffer (and, where
+        :attr:`reads_rf` is False, the RF) changes.  A block without
+        ``demand`` may filter on the buffer in its ``mask``; it is
+        then never reused.
+
+        The built-in dataflows implement the batched pair
+        :meth:`dense_fold_plan` / :meth:`dense_batch_arrays` instead,
+        and this base implementation is their batch of one.  A
+        third-party dataflow may override this method alone: each of
+        its searches then enumerates a batch of one layer through it
+        (:meth:`enumerate_candidate_arrays`).  With neither, it
+        returns None, which tells ``optimize_mapping`` to fall back to
+        the streaming scalar path (so third-party dataflows keep
+        working unmodified).
+        """
+        plan = self.dense_fold_plan(layer, hw)
+        if plan is None:
+            return None
+        return self.dense_batch_arrays([(layer, hw, plan)])
 
     def rebuild_mapping(self, layer: LayerShape, hw: HardwareConfig,
                         params) -> Mapping:
@@ -283,9 +504,31 @@ class Dataflow(abc.ABC):
         return f"<Dataflow {self.name}>"
 
 
+def _as_batch(block: CandidateArrays, segments: List[Segment],
+              g_ps: List[int], counts: List[int],
+              overflow: Optional[LayerPlan] = None) -> CandidateArrays:
+    """Finish a fresh batch block: its segments, and ``g_p`` where grouped.
+
+    ``g_ps`` and ``counts`` give each dense problem's group parallelism
+    and fold count.  When a segment's layer is grouped, every fold gets
+    a ``g_p`` column (1 on dense layers' folds) and its active PEs are
+    scaled by it: the ``g_p`` groups of a partition run side by side
+    (:func:`regroup_mapping`).  The reuse factors stay per group, which
+    the scorer charges against the full layer's unique-value counts.
+    """
+    if any(segment.layer.groups > 1 for segment in segments):
+        g_p = np.repeat(np.array(g_ps, dtype=np.int64), counts)
+        block.pes = block.pes * g_p
+        block.params = {**block.params, "g_p": g_p}
+    block.segments = tuple(segments)
+    block.overflow = overflow
+    return block
+
+
 #: Re-exported for backward compatibility: ``thin_candidates`` moved to
 #: :mod:`repro.mapping.divisors` to live with (and share the memoization
 #: of) the other tiling helpers.
-__all__ = ["BufferBudget", "Dataflow", "thin_candidates",
+__all__ = ["BufferBudget", "Dataflow", "FoldPlan", "LayerPlan",
+           "PerProblem", "dense_problems", "thin_candidates",
            "group_parallel_options", "partition_hardware",
            "regroup_mapping"]

@@ -12,12 +12,19 @@ which is why NLR's energy is dominated by buffer accesses for weights
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Optional
+from operator import itemgetter
+from typing import Dict, Iterator
 
 import numpy as np
 
 from repro.arch.hardware import HardwareConfig
-from repro.dataflows.base import BufferBudget, Dataflow, thin_candidates
+from repro.dataflows.base import (
+    BufferBudget,
+    Dataflow,
+    FoldPlan,
+    PerProblem,
+    thin_candidates,
+)
 from repro.kernels import CandidateArrays, empty_candidates
 from repro.mapping.divisors import divisors_up_to
 from repro.mapping.mapping import Mapping
@@ -47,46 +54,52 @@ class NoLocalReuse(Dataflow):
                 if mapping is not None:
                     yield mapping
 
-    def dense_candidate_arrays(self, layer: LayerShape,
-                               hw: HardwareConfig
-                               ) -> Optional[CandidateArrays]:
-        """The dense NLR candidate space as structure-of-arrays columns.
+    def dense_fold_plan(self, layer: LayerShape,
+                        hw: HardwareConfig) -> FoldPlan:
+        """The ``(m_g, c_g)`` pairs of :meth:`enumerate_dense`, in order.
 
-        Mirrors :meth:`enumerate_dense`: ``(m_g, c_g)`` pairs in the
-        same thinned-divisor order, the buffer-staging budget as each
-        slot's ``demand`` (the block never reads ``hw.buffer_words``),
-        and the broadcast-degeneration rescale of :meth:`_build_mapping`
-        as a vectorized select.  NLR has a single residency scenario:
-        K = 1.
+        NLR has a single residency scenario: K = 1.
         """
-        n, m, c = layer.N, layer.M, layer.C
-        r, e, h = layer.R, layer.E, layer.H
-        r_span = layer.R_eff
         mg_vals, cg_vals = [], []
-        for m_g in thin_candidates(divisors_up_to(m, hw.num_pes), limit=8):
+        for m_g in thin_candidates(divisors_up_to(layer.M, hw.num_pes),
+                                   limit=8):
             room = hw.num_pes // m_g
-            for c_g in thin_candidates(divisors_up_to(c, room), limit=6):
+            for c_g in thin_candidates(divisors_up_to(layer.C, room),
+                                       limit=6):
                 mg_vals.append(m_g)
                 cg_vals.append(c_g)
-        if not mg_vals:
-            return empty_candidates()
-        mg = np.array(mg_vals, dtype=np.int64)
-        cg = np.array(cg_vals, dtype=np.int64)
+        return FoldPlan((mg_vals, cg_vals), len(mg_vals), 1)
 
-        demand = c * r_span * h + mg * c * r * r + mg * e
-        count = mg.shape[0]
+    def dense_batch_arrays(self, problems) -> CandidateArrays:
+        """The dense NLR candidate spaces as structure-of-arrays columns.
+
+        Mirrors :meth:`_build_mapping` over every planned pair of the
+        batch at once: the buffer-staging budget as each slot's
+        ``demand`` (the block never reads ``hw.buffer_words``), and the
+        broadcast-degeneration rescale as a vectorized select.
+        """
+        per = PerProblem(problems)
+        count = per.folds
+        if not count:
+            return empty_candidates()
+        mg = per.column(itemgetter(0))
+        cg = per.column(itemgetter(1))
+        n, c, r, e, h = per("N"), per("C"), per("R"), per("E"), per("H")
+        ifmap_reuse = per("ifmap_reuse", np.float64)
+
+        demand = c * per("R_eff") * h + mg * c * r * r + mg * e
         ones = np.ones(count, dtype=np.float64)
 
         if_c = mg.astype(np.float64)
-        if_b = layer.ifmap_reuse / if_c
+        if_b = ifmap_reuse / if_c
         low = if_b < 1.0 - _EPS
-        if_c = np.where(low, float(layer.ifmap_reuse), if_c)
+        if_c = np.where(low, ifmap_reuse, if_c)
         if_b = np.where(low, 1.0, if_b)
 
         return CandidateArrays(
             ifmap=(ones, if_b, if_c, ones),
-            filter=(ones, np.full(count, float(n * e * e)), ones, ones),
-            psum=(ones, layer.psum_accumulations / cg,
+            filter=(ones, per.full(n * e * e), ones, ones),
+            psum=(ones, per("psum_accumulations") / cg,
                   cg.astype(np.float64), ones),
             pes=mg * cg,
             mask=np.ones((1, count), dtype=bool),

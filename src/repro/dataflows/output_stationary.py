@@ -33,12 +33,18 @@ a concrete loop nest (the same discipline as the RS model):
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Dict, Iterator
 
 import numpy as np
 
 from repro.arch.hardware import HardwareConfig
-from repro.dataflows.base import BufferBudget, Dataflow, thin_candidates
+from repro.dataflows.base import (
+    BufferBudget,
+    Dataflow,
+    FoldPlan,
+    PerProblem,
+    thin_candidates,
+)
 from repro.kernels import CandidateArrays, empty_candidates
 from repro.mapping.divisors import divisors_up_to
 from repro.mapping.mapping import Mapping
@@ -154,25 +160,30 @@ class _OutputStationaryBase(Dataflow):
                         "buffer_occupancy": round(stream.occupancy, 3)},
             )
 
-    def dense_candidate_arrays(self, layer: LayerShape,
-                               hw: HardwareConfig
-                               ) -> Optional[CandidateArrays]:
-        """The dense OS candidate space as structure-of-arrays columns.
+    def dense_fold_plan(self, layer: LayerShape,
+                        hw: HardwareConfig) -> FoldPlan:
+        """The variant's :meth:`_configurations`, one fold each.
 
-        Mirrors :meth:`enumerate_dense`: the variant's
-        :meth:`_configurations` generator drives the fold order (it is
-        cheap -- at most a few dozen configs), and the three
-        buffer-residency scenarios are the rows of the config x
-        scenario grid.  The buffer-independent predicates of
-        :meth:`_config_candidates` form the mask and each scenario's
-        budget the slot's ``demand``: the block never reads
-        ``hw.buffer_words``.
+        The generator is cheap -- at most a few dozen configs -- and
+        drives the fold order; the three buffer-residency scenarios are
+        the rows of the config x scenario grid (K = 3).
         """
         cfgs = list(self._configurations(layer, hw))
-        if not cfgs:
+        return FoldPlan(cfgs, len(cfgs), len(_SCENARIOS))
+
+    def dense_batch_arrays(self, problems) -> CandidateArrays:
+        """The dense OS candidate spaces as structure-of-arrays columns.
+
+        Mirrors :meth:`_config_candidates` over every planned config of
+        the batch at once: its buffer-independent predicates form the
+        mask and each scenario's budget the slot's ``demand``, so the
+        block never reads ``hw.buffer_words``.
+        """
+        per = PerProblem(problems)
+        if not per.folds:
             return empty_candidates()
-        n, m, c = layer.N, layer.M, layer.C
-        r = layer.R
+        cfgs = [cfg for rows in per.plans for cfg in rows]
+        m, c, r = per("M"), per("C"), per("R")
 
         param_keys = list(cfgs[0][0].keys())
         pcols = {key: np.array([cfg[0][key] for cfg in cfgs],
@@ -185,11 +196,11 @@ class _OutputStationaryBase(Dataflow):
         window = np.array([cfg[6] for cfg in cfgs], dtype=np.int64)
         overlap = np.array([cfg[7] for cfg in cfgs], dtype=np.float64)
 
-        if_residual = layer.ifmap_reuse / (if_c * overlap)
+        if_residual = per("ifmap_reuse", np.float64) / (if_c * overlap)
         cfg_ok = ~(if_residual < _EPS)
         chunk_reuse = m / m_if
         w_c = i_f.astype(np.float64)
-        w_residual = layer.filter_reuse / w_c
+        w_residual = per("filter_reuse") / w_c
         rest = if_residual / chunk_reuse
 
         count = active.shape[0]
@@ -208,7 +219,7 @@ class _OutputStationaryBase(Dataflow):
         mask, demand, if_a, if_b, w_a, w_b = (np.array(cols)
                                               for cols in zip(*scenarios))
 
-        accum = np.full(count, float(layer.psum_accumulations))
+        accum = per.full(per("psum_accumulations"))
         return CandidateArrays(
             ifmap=(if_a, if_b, if_c, ones),
             filter=(w_a, w_b, w_c, ones),

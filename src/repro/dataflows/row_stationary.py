@@ -36,12 +36,19 @@ every candidate.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Dict, Iterator, Optional, Tuple
+from operator import attrgetter
+from typing import Dict, Iterator, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from repro.arch.hardware import HardwareConfig
-from repro.dataflows.base import BufferBudget, Dataflow, thin_candidates
+from repro.dataflows.base import (
+    BufferBudget,
+    Dataflow,
+    FoldPlan,
+    PerProblem,
+    thin_candidates,
+)
 from repro.kernels import CandidateArrays, empty_candidates
 from repro.mapping.divisors import divisors, divisors_up_to, largest_divisor_up_to
 from repro.mapping.mapping import Mapping
@@ -56,6 +63,20 @@ _EPS = 1e-9
 #: index into this tuple).
 _SCENARIOS = ("both-resident", "ifmap-streams", "filter-streams",
               "both-stream")
+
+
+class _Choices(NamedTuple):
+    """An RS fold plan: each ``(e, n_s, m_s, c_s)`` choice of the outer
+    loops, in order, with its RF-fold block from :func:`_rf_fold_arrays`,
+    and the geometry's ``r_eff`` and ``v_fold``."""
+
+    e: list
+    n_s: list
+    m_s: list
+    c_s: list
+    blocks: list
+    r_eff: int
+    v_fold: int
 
 
 @lru_cache(maxsize=None)
@@ -140,32 +161,21 @@ class RowStationary(Dataflow):
                         layer, hw, e, r_eff, v_fold,
                         n_s, m_s, c_s, n_r, m_r, c_r)
 
-    def dense_candidate_arrays(self, layer: LayerShape,
-                               hw: HardwareConfig
-                               ) -> Optional[CandidateArrays]:
-        """The dense RS candidate space as structure-of-arrays columns.
+    def dense_fold_plan(self, layer: LayerShape,
+                        hw: HardwareConfig) -> FoldPlan:
+        """The ``e`` x spatial loops of :meth:`enumerate_dense`, in order.
 
-        Mirrors :meth:`enumerate_dense` row for row: the outer
-        ``e`` x spatial loops run in Python (their divisor lists are
-        memoized), the RF-fold cross product comes from the cached
-        :func:`_rf_fold_arrays` blocks, and every formula of
-        :meth:`_build_mappings` -- reuse splits, active PEs, the four
-        buffer-residency budgets -- is evaluated once over the whole
-        fold batch in NumPy.  The four scenarios are the rows of the
-        fold x scenario grid.  RF overflow drops a fold, PE overflow and
-        vanished residual reuse clear its mask, and each scenario's
-        budget becomes the slot's ``demand``: the block never reads
-        ``hw.buffer_words`` (it does read ``hw.rf_words_per_pe``).
+        The loops run in Python (their divisor lists are memoized) and
+        the RF-fold cross product of each ``(e, n_s, m_s, c_s)`` choice
+        comes from the cached :func:`_rf_fold_arrays` table; RF
+        overflow drops a fold here.  The four pass-order scenarios are
+        the rows of the fold x scenario grid (K = 4).
         """
         array_h, array_w, r_eff, v_fold = self._geometry(layer, hw)
-
         rf_words = hw.rf_words_per_pe
         n, m, c = layer.N, layer.M, layer.C
-        r, e_full, h, u = layer.R, layer.E, layer.H, layer.U
-        r_span = layer.R_eff
-
-        e_vals, ns_vals, ms_vals, cs_vals, sizes = [], [], [], [], []
-        fold_blocks = []
+        e_vals, ns_vals, ms_vals, cs_vals, fold_blocks = [], [], [], [], []
+        folds = 0
         for e in thin_candidates(divisors_up_to(layer.E, array_w)):
             sets_v = array_h // r_eff
             sets_h = array_w // e
@@ -173,73 +183,98 @@ class RowStationary(Dataflow):
             if max_sets < 1:
                 continue
             for n_s, m_s, c_s in self._spatial_assignments(n, m, c, max_sets):
-                folds = _rf_fold_arrays(r, rf_words, v_fold,
+                block = _rf_fold_arrays(layer.R, rf_words, v_fold,
                                         n // n_s, m // m_s, c // c_s)
-                if folds is None:
+                if block is None:
                     continue
                 e_vals.append(e)
                 ns_vals.append(n_s)
                 ms_vals.append(m_s)
                 cs_vals.append(c_s)
-                sizes.append(folds[0].shape[0])
-                fold_blocks.append(folds)
+                fold_blocks.append(block)
+                folds += block[0].shape[0]
+        return FoldPlan(_Choices(e_vals, ns_vals, ms_vals, cs_vals,
+                                 fold_blocks, r_eff, v_fold),
+                        folds, len(_SCENARIOS))
 
-        if not fold_blocks:
+    def dense_batch_arrays(self, problems) -> CandidateArrays:
+        """The dense RS candidate spaces as structure-of-arrays columns.
+
+        Every formula of :meth:`_build_mappings` -- reuse splits,
+        active PEs, the four buffer-residency budgets -- evaluated once
+        over every planned fold of the batch, with each problem's layer
+        and array constants as :class:`PerProblem` columns.  PE
+        overflow and vanished residual reuse clear a fold's mask, and
+        each scenario's budget becomes the slot's ``demand``: the block
+        never reads ``hw.buffer_words`` (its plan did read
+        ``hw.rf_words_per_pe``).  The four scenario budgets are summed
+        row by row into one preallocated ``demand`` grid rather than
+        stacked from per-scenario temporaries.
+        """
+        per = PerProblem(problems)
+        if not per.folds:
             return empty_candidates()
+        plans = per.plans
+        fold_blocks = [block for plan in plans for block in plan.blocks]
+        reps = np.array([block[0].shape[0] for block in fold_blocks],
+                        dtype=np.int64)
+        e_col, ns, ms, cs = (np.repeat(per.column(attrgetter(name)), reps)
+                             for name in ("e", "n_s", "m_s", "c_s"))
+        nr = np.concatenate([block[0] for block in fold_blocks])
+        mr = np.concatenate([block[1] for block in fold_blocks])
+        cr = np.concatenate([block[2] for block in fold_blocks])
+        folds = nr.shape[0]
 
-        reps = np.array(sizes, dtype=np.int64)
-        e_col = np.repeat(np.array(e_vals, dtype=np.int64), reps)
-        ns = np.repeat(np.array(ns_vals, dtype=np.int64), reps)
-        ms = np.repeat(np.array(ms_vals, dtype=np.int64), reps)
-        cs = np.repeat(np.array(cs_vals, dtype=np.int64), reps)
-        nr = np.concatenate([f[0] for f in fold_blocks])
-        mr = np.concatenate([f[1] for f in fold_blocks])
-        cr = np.concatenate([f[2] for f in fold_blocks])
+        n, m, c, r = per("N"), per("M"), per("C"), per("R")
+        h, e_full = per("H"), per("E")
+        r_eff = per.each([plan.r_eff for plan in plans])
 
         n_p, m_p, c_p = ns * nr, ms * mr, cs * cr
-        strip = (e_col - 1) * u + r_span
+        strip = (e_col - 1) * per("U") + per("R_eff")
 
         # The _build_mappings formulas, one NumPy expression per column
         # (the association order replicates the scalar code exactly).
-        filt_d = (e_full * nr).astype(np.float64)
-        filt_c = (e_col * ns).astype(np.float64)
-        filt_pass = (e_full / e_col) * (n / n_p)
-        if_d = (e_full * r / h) * mr
-        if_c = (e_col * r / strip) * ms
-        if_residual = layer.ifmap_reuse / (if_d * if_c)
-        if_chunk = m / m_p
-        if_rest = if_residual / if_chunk
-
-        ps_b = c / c_p
-        ps_c = (r_eff * cs).astype(np.float64)
-        ps_d = ((r * v_fold) * cr).astype(np.float64)
-
-        active = ns * ms * cs * r_eff * e_col
-        fold_ok = (active <= hw.num_pes) & ~(if_rest < _EPS)
-
         psum_tile = n_p * m_p * e_col * e_full
         ifmap_tile = n_p * c * strip * h
         ifmap_pass = n_p * c_p * strip * h
         filter_chunk = m_p * c * r * r
         filter_pass = m_p * c_p * r * r
-        filter_all = m * c * r * r
 
-        ones = np.ones(active.shape[0], dtype=np.float64)
-        # Scenario columns in _build_mappings order: (mask, demand,
-        # if_a, if_b, filt_a, filt_b) -- the (c, d) factors and the psum
-        # split are shared by all four scenarios of a fold.
-        scenarios = (
-            (fold_ok, ifmap_tile + filter_all + psum_tile,
-             ones, if_residual, ones, filt_pass),
-            (fold_ok, ifmap_pass + filter_chunk + psum_tile,
-             if_chunk, if_rest, ones, filt_pass),
-            (fold_ok, ifmap_tile + filter_pass + psum_tile,
-             ones, if_residual, filt_pass, ones),
-            (fold_ok, ifmap_pass + filter_pass + psum_tile,
-             if_chunk, if_rest, filt_pass, ones),
-        )
-        mask, demand, if_a, if_b, w_a, w_b = (np.array(cols)
-                                              for cols in zip(*scenarios))
+        filt_d = (e_full * nr).astype(np.float64)
+        filt_c = (e_col * ns).astype(np.float64)
+        filt_pass = (e_full / e_col) * (n / n_p)
+        if_d = (e_full * r / h) * mr
+        if_c = (e_col * r / strip) * ms
+        if_residual = per("ifmap_reuse", np.float64) / (if_d * if_c)
+        if_chunk = m / m_p
+        if_rest = if_residual / if_chunk
+
+        ps_b = c / c_p
+        ps_c = (r_eff * cs).astype(np.float64)
+        ps_d = ((r * per.each([plan.v_fold for plan in plans]))
+                * cr).astype(np.float64)
+
+        active = ns * ms * cs * r_eff * e_col
+        fold_ok = ((active <= per.each([hw.num_pes for hw in per.hardware]))
+                   & ~(if_rest < _EPS))
+        ones = np.ones(folds, dtype=np.float64)
+
+        # The (4, F) grids, one row per scenario in _build_mappings
+        # order -- (if_a, if_b) and (filt_a, filt_b) per scenario; the
+        # (c, d) factors and the psum split are shared by all four.
+        # Each budget is summed straight into its row of one demand
+        # array, not built as a per-scenario temporary and stacked.
+        demand = np.empty((4, folds), dtype=np.int64)
+        np.add(ifmap_tile, m * c * r * r, out=demand[0])
+        np.add(ifmap_pass, filter_chunk, out=demand[1])
+        np.add(ifmap_tile, filter_pass, out=demand[2])
+        np.add(ifmap_pass, filter_pass, out=demand[3])
+        demand += psum_tile
+        mask = np.array((fold_ok,) * 4)
+        if_a = np.array((ones, if_chunk, ones, if_chunk))
+        if_b = np.array((if_residual, if_rest, if_residual, if_rest))
+        w_a = np.array((ones, ones, filt_pass, filt_pass))
+        w_b = np.array((filt_pass, filt_pass, ones, ones))
 
         return CandidateArrays(
             ifmap=(if_a, if_b, if_c, if_d),

@@ -26,12 +26,19 @@ Mapping parameters searched:
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Optional
+from operator import itemgetter
+from typing import Dict, Iterator
 
 import numpy as np
 
 from repro.arch.hardware import HardwareConfig
-from repro.dataflows.base import BufferBudget, Dataflow, thin_candidates
+from repro.dataflows.base import (
+    BufferBudget,
+    Dataflow,
+    FoldPlan,
+    PerProblem,
+    thin_candidates,
+)
 from repro.kernels import CandidateArrays, empty_candidates
 from repro.mapping.divisors import divisors_up_to
 from repro.mapping.mapping import Mapping
@@ -70,55 +77,59 @@ class WeightStationary(Dataflow):
                 if mapping is not None:
                     yield mapping
 
-    def dense_candidate_arrays(self, layer: LayerShape,
-                               hw: HardwareConfig
-                               ) -> Optional[CandidateArrays]:
-        """The dense WS candidate space as structure-of-arrays columns.
+    def dense_fold_plan(self, layer: LayerShape,
+                        hw: HardwareConfig) -> FoldPlan:
+        """The ``(m_f, c_f)`` pairs of :meth:`enumerate_dense`, in order.
 
-        Mirrors :meth:`enumerate_dense`: the ``(m_f, c_f)`` pairs are
-        collected in the same thinned-divisor order and every formula of
-        :meth:`_build_mapping` -- the live-psum budget, the broadcast
-        rescales, the splits -- is evaluated over the whole batch at
-        once.  Every pair is kept: its live-psum budget is the slot's
-        ``demand``, so the block never reads ``hw.buffer_words``.  WS
+        Empty when the array cannot hold one R x R filter plane.  WS
         has a single residency scenario: K = 1.
         """
-        r2 = layer.R ** 2
-        blocks = hw.num_pes // r2
-        if blocks < 1:
-            return empty_candidates()
-
-        n, m, c = layer.N, layer.M, layer.C
-        e, h = layer.E, layer.H
+        blocks = hw.num_pes // layer.R ** 2
         mf_vals, cf_vals = [], []
-        for m_f in thin_candidates(divisors_up_to(m, blocks)):
-            for c_f in thin_candidates(divisors_up_to(c, blocks // m_f)):
-                mf_vals.append(m_f)
-                cf_vals.append(c_f)
-        if not mf_vals:
+        if blocks >= 1:
+            for m_f in thin_candidates(divisors_up_to(layer.M, blocks)):
+                for c_f in thin_candidates(divisors_up_to(layer.C,
+                                                          blocks // m_f)):
+                    mf_vals.append(m_f)
+                    cf_vals.append(c_f)
+        return FoldPlan((mf_vals, cf_vals), len(mf_vals), 1)
+
+    def dense_batch_arrays(self, problems) -> CandidateArrays:
+        """The dense WS candidate spaces as structure-of-arrays columns.
+
+        Every formula of :meth:`_build_mapping` -- the live-psum
+        budget, the broadcast rescales, the splits -- evaluated over
+        every planned pair of the batch at once.  Every pair is kept:
+        its live-psum budget is the slot's ``demand``, so the block
+        never reads ``hw.buffer_words``.
+        """
+        per = PerProblem(problems)
+        count = per.folds
+        if not count:
             return empty_candidates()
-        mf = np.array(mf_vals, dtype=np.int64)
-        cf = np.array(cf_vals, dtype=np.int64)
+        mf = per.column(itemgetter(0))
+        cf = per.column(itemgetter(1))
+        n, c, e, h = per("N"), per("C"), per("E"), per("H")
+        r2 = per("R") ** 2
+        ifmap_reuse = per("ifmap_reuse", np.float64)
 
         # Demand: the in-flight psums + staging rows + pinned weights,
         # which must fit the buffer (the missing Fig. 11a WS bar).
         demand = cf * h + mf * cf * r2 + n * mf * e * e
-        count = mf.shape[0]
         ones = np.ones(count, dtype=np.float64)
 
         # Ifmap broadcast reuse with the two degenerate-geometry
         # rescales of _build_mapping, as vectorized selects.
         if_c = (mf * r2 * e * e / (h * h)).astype(np.float64)
         if_c = np.where(if_c < 1.0, 1.0, if_c)
-        if_a = layer.ifmap_reuse / if_c
+        if_a = ifmap_reuse / if_c
         low = if_a < 1.0
-        if_c = np.where(low, float(layer.ifmap_reuse), if_c)
+        if_c = np.where(low, ifmap_reuse, if_c)
         if_a = np.where(low, 1.0, if_a)
 
         return CandidateArrays(
             ifmap=(if_a, ones, if_c, ones),
-            filter=(ones, ones, ones,
-                    np.full(count, float(n * e * e))),
+            filter=(ones, ones, ones, per.full(n * e * e)),
             psum=(ones, c / cf, (r2 * cf).astype(np.float64), ones),
             pes=mf * cf * r2,
             mask=np.ones((1, count), dtype=bool),

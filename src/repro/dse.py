@@ -86,6 +86,7 @@ from __future__ import annotations
 import bisect
 import hashlib
 import json
+import numbers
 import random as _random
 import time
 from dataclasses import dataclass, field, fields
@@ -323,6 +324,9 @@ class DesignSpace:
                 "set pe_counts and/or array_shapes")
         set_("rf_choices", normalize_ints(self.rf_choices, "rf_choices",
                                           minimum=0))
+        if not isinstance(self.equal_area, bool):
+            raise ValueError(
+                f"equal_area must be True or False, got {self.equal_area!r}")
         if self.equal_area and self.glb_choices is not None:
             raise ValueError(
                 "equal_area=True derives the global buffer from the area "
@@ -330,12 +334,26 @@ class DesignSpace:
         if self.glb_choices is not None:
             set_("glb_choices", normalize_ints(self.glb_choices,
                                                "glb_choices", minimum=0))
-        if self.area_budget is not None and self.area_budget <= 0:
-            raise ValueError(
-                f"area_budget must be positive, got {self.area_budget}")
+        if self.area_budget is not None:
+            # Kept as given, not converted: the fingerprint hashes it,
+            # and a budget of 500 and one of 500.0 are recorded apart.
+            if (isinstance(self.area_budget, bool)
+                    or not isinstance(self.area_budget, numbers.Real)):
+                raise ValueError(f"area_budget must be a number, got "
+                                 f"{self.area_budget!r}")
+            if self.area_budget <= 0:
+                raise ValueError(
+                    f"area_budget must be positive, got {self.area_budget}")
         set_("objective", normalize_objective(self.objective))
-        metrics = ((self.metrics,) if isinstance(self.metrics, str)
-                   else tuple(self.metrics))
+        if isinstance(self.metrics, str):
+            metrics = (self.metrics,)
+        else:
+            try:
+                metrics = tuple(self.metrics)
+            except TypeError:
+                raise ValueError(
+                    f"metrics must be a metric name or a sequence of "
+                    f"names, got {self.metrics!r}") from None
         unknown = [m for m in metrics if m not in CANDIDATE_METRICS]
         if unknown or not metrics:
             raise ValueError(
@@ -968,9 +986,7 @@ def explore_stream(space: DesignSpace, *, session=None,
     if session is None:
         from repro.api import default_session  # lazy: api imports dse
         session = default_session()
-    chunk = DEFAULT_CHUNK if chunk is None else int(chunk)
-    if chunk < 1:
-        raise ValueError(f"chunk must be >= 1, got {chunk}")
+    chunk = DEFAULT_CHUNK if chunk is None else normalize_int(chunk, "chunk")
     total = space.candidate_count()
     if total == 0:
         raise EmptyDesignSpaceError(_EMPTY_SPACE_MESSAGE)

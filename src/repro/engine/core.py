@@ -319,12 +319,13 @@ def _evaluate_rows(rows, memo: SearchMemo) -> List[Tuple[bool, object]]:
     batches and degraded chunks.  A failed row carries its exception
     instead of a result, so one raising row (a buggy custom objective,
     say) cannot discard its siblings' work.  Every row's search shares
-    ``memo``, so consecutive rows that differ only in hardware the
-    enumerator does not read (a DSE run over buffer sizes) enumerate
-    once.
+    ``memo``, which follows the rows: consecutive rows that differ only
+    in their layer (a cell's distinct layers) enumerate and score as
+    one batch, and rows that differ only in hardware the enumerator
+    does not read (a DSE run over buffer sizes) enumerate once.
     """
     entries: List[Tuple[bool, object]] = []
-    for dataflow, layer, hw, objective in rows:
+    for dataflow, layer, hw, objective in memo.follow(rows):
         try:
             entries.append((True, evaluate_layer(dataflow, layer, hw, None,
                                                  objective, memo=memo)))

@@ -19,8 +19,13 @@ batch alternative:
   never reads ``buffer_words``: the buffer only decides which slots
   :meth:`CandidateArrays.feasible` keeps, so one block (and its scores)
   serves every buffer size of its (layer, array) point.
+* A block may hold a *batch*: the spaces of several layers that share
+  (dataflow, hardware, objective), one :class:`Segment` of folds per
+  layer, enumerated in one NumPy pass.  A search reads only its own
+  :meth:`CandidateArrays.segment`.
 * :func:`score_candidates` computes the objective of the *whole grid*
-  in a handful of NumPy ops, reusing the vectorized Eq. (3)/(4) math of
+  -- every segment, each fold against its own layer's constants -- in
+  a handful of NumPy ops, reusing the vectorized Eq. (3)/(4) math of
   :mod:`repro.mapping.reuse`; :func:`mask_scores` keeps the candidates
   of one buffer size.
 * :func:`select_best` reduces the score column to the winning slot
@@ -48,7 +53,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -89,9 +94,22 @@ def kernel_mode() -> str:
     return raw
 
 
+class Segment(NamedTuple):
+    """One layer's run of folds in a :class:`CandidateArrays` block.
+
+    The folds ``start`` (inclusive) to ``stop`` (exclusive) are the
+    candidate space of ``layer``: for a grouped layer, the folds of all
+    its group-parallelism partitions, in the driver's ``g_p`` order.
+    """
+
+    layer: LayerShape
+    start: int
+    stop: int
+
+
 @dataclass
 class CandidateArrays:
-    """One dataflow's candidate space as a fold x scenario grid.
+    """One or more layers' candidate spaces as a fold x scenario grid.
 
     A *fold* is one tiling choice of the dataflow's scalar
     ``enumerate_mappings`` loops; each fold branches into the same K
@@ -99,6 +117,14 @@ class CandidateArrays:
     fold ``s // K``, scenario ``s % K``: the fold-major, scenario-minor
     order of the scalar generator, whose tie-break keeps the first
     arrival.  A slot is a candidate only where :attr:`mask` is set.
+
+    The folds are cut into :attr:`segments`, one contiguous run per
+    layer: a batch enumeration (``Dataflow.enumerate_candidate_arrays``
+    over several layers) puts the layers of one (dataflow, hardware,
+    objective) run side by side, so one NumPy pass enumerates and one
+    :func:`score_candidates` call scores them all.  A search reads only
+    its own layer's :meth:`segment`; a single-layer block is a batch of
+    one.
 
     The grid is stored scenario by scenario -- a ``(K, F)`` array has
     one row per scenario -- so every per-fold ``(F,)`` column
@@ -122,8 +148,8 @@ class CandidateArrays:
         ``(F,)`` column when K = 1); ``c`` and ``d`` are per fold.
     psum:
         ``(a, b, c, d)`` accumulation split, per-fold columns.
-        Together with the layer's unique-value counts these are
-        everything Eqs. (3)/(4) need.
+        Together with each segment layer's unique-value counts these
+        are everything Eqs. (3)/(4) need.
     pes:
         Active PEs per fold (int64): the EDP delay denominator.
     mask:
@@ -133,14 +159,25 @@ class CandidateArrays:
         ``(K, F)`` int64 grid of the global-buffer words each slot's
         working sets claim (what the scalar ``BufferBudget`` sums), or
         None when :attr:`mask` already applies the buffer.  A grouped
-        block compares it with its partition's share,
+        layer's folds compare it with their partition's share,
         ``buffer_words // g_p``.
     params:
         Per-fold tiling parameters (int64 columns keyed by name, e.g.
         ``e, n_s, ...``), enough for the owning dataflow's
         ``rebuild_mapping`` to re-materialize any slot as a full
         :class:`~repro.mapping.mapping.Mapping` through its scalar
-        builder.
+        builder.  A ``g_p`` column, present when a segment's layer is
+        grouped, holds each fold's group parallelism (1 on a dense
+        layer's folds).
+    segments:
+        The :class:`Segment` of each layer, in fold order.  The
+        dataflow driver sets them; a dense enumerator's raw block has
+        none.
+    overflow:
+        The first layer the batch's slot bound left out, as the
+        driver's already-planned ``LayerPlan``, or None.  Handed back to
+        the next batch enumeration in place of its layer, it spares
+        that layer's planning loops a second run.
     """
 
     ifmap: Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
@@ -150,6 +187,8 @@ class CandidateArrays:
     mask: np.ndarray
     params: Dict[str, np.ndarray] = field(default_factory=dict)
     demand: Optional[np.ndarray] = None
+    segments: Tuple[Segment, ...] = ()
+    overflow: object = None
 
     def __len__(self) -> int:
         """The masked-in slots: the candidates of the largest buffer.
@@ -163,9 +202,9 @@ class CandidateArrays:
         """The ``(K, F)`` grid of the candidates at one buffer size.
 
         A slot is a candidate where :attr:`mask` is set and its
-        :attr:`demand` fits the buffer -- for a grouped block, the
-        ``buffer_words // g_p`` words of its group's partition, as the
-        scalar driver's ``partition_hardware`` gives it.
+        :attr:`demand` fits the buffer -- for a grouped layer's fold,
+        the ``buffer_words // g_p`` words of its group's partition, as
+        the scalar driver's ``partition_hardware`` gives it.
         """
         if self.demand is None:
             return self.mask
@@ -185,6 +224,38 @@ class CandidateArrays:
         params["scenario"] = scenario
         return params
 
+    def slots(self, index: int) -> slice:
+        """Segment ``index``'s range of :func:`score_candidates`' column."""
+        scenarios = self.mask.shape[0]
+        segment = self.segments[index]
+        return slice(segment.start * scenarios, segment.stop * scenarios)
+
+    def segment(self, index: int) -> "CandidateArrays":
+        """Segment ``index`` as a block of its own (views, no copies).
+
+        Its slots, :meth:`feasible` grid, :attr:`active_pes` and
+        :meth:`row_params` are those of that layer's search alone; a
+        dense layer's folds drop the batch's ``g_p`` column, which its
+        ``rebuild_mapping`` does not take.
+        """
+        if len(self.segments) == 1:
+            return self
+        layer, start, stop = self.segments[index]
+
+        def cut(column):
+            return column[..., start:stop]
+
+        def cut4(split):
+            return tuple(cut(column) for column in split)
+
+        return CandidateArrays(
+            ifmap=cut4(self.ifmap), filter=cut4(self.filter),
+            psum=cut4(self.psum), pes=cut(self.pes), mask=cut(self.mask),
+            params={name: cut(column) for name, column in self.params.items()
+                    if name != "g_p" or layer.groups > 1},
+            demand=None if self.demand is None else cut(self.demand),
+            segments=(Segment(layer, 0, stop - start),))
+
 
 def empty_candidates() -> CandidateArrays:
     """A zero-fold block: the dataflow cannot run the layer at all."""
@@ -199,16 +270,16 @@ def empty_candidates() -> CandidateArrays:
 def concat_candidates(blocks) -> CandidateArrays:
     """Concatenate :class:`CandidateArrays` blocks along the fold axis.
 
-    The grouped-convolution driver enumerates one dense block per
-    group-parallelism factor and splices them into a single candidate
-    space; folds keep block order, matching the scalar generator's loop
-    nesting (the tie-break is order-sensitive).  Blocks with no
-    masked-in slot are dropped (no buffer makes them feasible); with
-    none left the empty block is returned.  All remaining blocks come
-    from the same dataflow, so they share K, the ``params`` keys and
-    whether they carry ``demand``.
+    The driver of a dataflow with only a single-layer enumerator splices
+    the dense block of each of a grouped layer's group-parallelism
+    partitions into one candidate space; folds keep block order,
+    matching the scalar generator's loop nesting (the tie-break is
+    order-sensitive).  Zero-fold blocks are dropped; with none left the
+    empty block is returned.  All remaining blocks come from the same
+    dataflow, so they share K, the ``params`` keys and whether they
+    carry ``demand``.
     """
-    blocks = [block for block in blocks if len(block)]
+    blocks = [block for block in blocks if block.pes.shape[0]]
     if not blocks:
         return empty_candidates()
     if len(blocks) == 1:
@@ -233,70 +304,79 @@ def concat_candidates(blocks) -> CandidateArrays:
     )
 
 
-def regroup_candidates(block: CandidateArrays, g_p: int) -> CandidateArrays:
-    """Lift a per-group dense block onto the full grouped layer.
+def _layer_words(block: CandidateArrays):
+    """Each fold's layer constants: ifmap, filter, ofmap words and MACs.
 
-    The array twin of :func:`repro.dataflows.base.regroup_mapping`: with
-    ``g_p`` channel groups mapped in parallel, every candidate keeps its
-    per-value reuse factors (the scoring kernel already charges them
-    against the *full* layer's unique-value counts, which are exact
-    ``groups`` multiples of the per-group counts) and scales its
-    active-PE tie-break/delay column by ``g_p``, recorded in a ``g_p``
-    parameter column for winner reconstruction and for
-    :meth:`CandidateArrays.feasible`'s per-partition buffer share.
+    The full layer's counts (a grouped layer's folds keep per-group
+    reuse factors, and the full layer's unique-value counts are exact
+    ``groups`` multiples of the per-group ones).  A block of one layer
+    gives its Python ints, as a single search always did; a batch gives
+    float64 columns, one value per fold.  Both produce the same bits:
+    NumPy converts a Python int operand to float64 before the
+    arithmetic, and every count is far below 2**53, so the conversion
+    is exact either way.
     """
-    params = dict(block.params)
-    params["g_p"] = np.full(block.pes.shape[0], g_p, dtype=np.int64)
-    return CandidateArrays(ifmap=block.ifmap, filter=block.filter,
-                           psum=block.psum, pes=block.pes * g_p,
-                           mask=block.mask, params=params,
-                           demand=block.demand)
+    segments = block.segments
+    if len(segments) == 1:
+        layer = segments[0].layer
+        return (layer.ifmap_words, layer.filter_words, layer.ofmap_words,
+                layer.macs)
+    sizes = [stop - start for _layer, start, stop in segments]
+
+    def column(name):
+        values = [float(getattr(layer, name)) for layer, _s, _e in segments]
+        return np.repeat(np.array(values, dtype=np.float64), sizes)
+
+    return tuple(column(name) for name in
+                 ("ifmap_words", "filter_words", "ofmap_words", "macs"))
 
 
-def _total_energy(block: CandidateArrays, layer: LayerShape,
+def _total_energy(block: CandidateArrays, words,
                   costs: EnergyCosts) -> np.ndarray:
     """Whole-layer total energy grid (Eq. (3) + Eq. (4) + ALU).
 
     Mirrors ``Mapping.total_energy``: per-split Table IV weighted sums,
     added ifmap + filter + psum, plus ``macs * alu`` -- in that order.
+    ``words`` is :func:`_layer_words`' tuple.
     """
+    ifmap_words, filter_words, ofmap_words, macs = words
     e_if = level_energy_arrays(
-        *eq3_access_arrays(layer.ifmap_words, *block.ifmap), costs)
+        *eq3_access_arrays(ifmap_words, *block.ifmap), costs)
     e_w = level_energy_arrays(
-        *eq3_access_arrays(layer.filter_words, *block.filter), costs)
+        *eq3_access_arrays(filter_words, *block.filter), costs)
     e_ps = level_energy_arrays(
-        *eq4_access_arrays(layer.ofmap_words, *block.psum), costs)
-    return e_if + e_w + e_ps + layer.macs * costs.alu
+        *eq4_access_arrays(ofmap_words, *block.psum), costs)
+    return e_if + e_w + e_ps + macs * costs.alu
 
 
-def energy_per_mac(block: CandidateArrays, layer: LayerShape,
+def energy_per_mac(block: CandidateArrays, words,
                    costs: EnergyCosts) -> np.ndarray:
     """Vectorized ``Mapping.energy_per_mac`` (the paper's Energy/Op)."""
-    return _total_energy(block, layer, costs) / layer.macs
+    return _total_energy(block, words, costs) / words[3]
 
 
-def edp(block: CandidateArrays, layer: LayerShape,
-        costs: EnergyCosts) -> np.ndarray:
+def edp(block: CandidateArrays, words, costs: EnergyCosts) -> np.ndarray:
     """Vectorized ``Mapping.edp``: energy/MAC times the 1/PE delay."""
     delay = 1.0 / block.pes.astype(np.float64)
-    return energy_per_mac(block, layer, costs) * delay
+    return energy_per_mac(block, words, costs) * delay
 
 
-def dram_accesses_per_op(block: CandidateArrays, layer: LayerShape,
+def dram_accesses_per_op(block: CandidateArrays, words,
                          costs: EnergyCosts) -> np.ndarray:
     """Vectorized ``Mapping.dram_accesses_per_op`` (Fig. 11 y-axis)."""
+    ifmap_words, filter_words, ofmap_words, macs = words
     if_a, w_a, p_a = block.ifmap[0], block.filter[0], block.psum[0]
-    reads = (layer.ifmap_words * if_a + layer.filter_words * w_a
-             + layer.ofmap_words * (p_a - 1))
-    writes = layer.ofmap_words * p_a
-    return (reads + writes) / layer.macs
+    reads = (ifmap_words * if_a + filter_words * w_a
+             + ofmap_words * (p_a - 1))
+    writes = ofmap_words * p_a
+    return (reads + writes) / macs
 
 
-#: Objective name -> vectorized scorer.  The dispatch in
-#: ``optimize_mapping`` only takes this path when the *registered*
-#: objective is still the matching built-in function, so re-registering
-#: e.g. ``energy`` with a custom callable transparently restores the
-#: scalar search for it.
+#: Objective name -> vectorized scorer ``(block, words, costs)``.  The
+#: dispatch in ``optimize_mapping`` only takes this path when the
+#: *registered* objective is still the matching built-in function, so
+#: re-registering e.g. ``energy`` with a custom callable transparently
+#: restores the scalar search for it.
 SCORERS = {
     "energy": energy_per_mac,
     "edp": edp,
@@ -304,15 +384,18 @@ SCORERS = {
 }
 
 
-def score_candidates(block: CandidateArrays, layer: LayerShape,
-                     costs: EnergyCosts, objective: str) -> np.ndarray:
-    """Score every slot under a built-in objective at once.
+def score_candidates(block: CandidateArrays, costs: EnergyCosts,
+                     objective: str) -> np.ndarray:
+    """Score every slot of every segment under a built-in objective.
 
     Returns one score per slot in fold-major, scenario-minor order --
     the scalar yield order the tie-break depends on -- masked or not:
     the scores read neither the mask nor the buffer, so one column
-    serves every buffer size of the block.  :func:`mask_scores` keeps
-    the candidates of one buffer for :func:`select_best`.
+    serves every buffer size of the block, and
+    :meth:`CandidateArrays.slots` cuts out each segment's part.  Each
+    fold is charged against its own segment's layer, so a batch of
+    layers costs one call.  :func:`mask_scores` keeps the candidates of
+    one buffer for :func:`select_best`.
     """
     try:
         scorer = SCORERS[objective]
@@ -321,7 +404,7 @@ def score_candidates(block: CandidateArrays, layer: LayerShape,
         raise ValueError(
             f"no vectorized scorer for objective {objective!r}; "
             f"known: {known}") from None
-    return scorer(block, layer, costs).T.reshape(-1)
+    return scorer(block, _layer_words(block), costs).T.reshape(-1)
 
 
 def mask_scores(scores: np.ndarray, feasible: np.ndarray) -> np.ndarray:

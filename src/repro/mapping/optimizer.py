@@ -26,17 +26,20 @@ same candidate count); ``REPRO_KERNEL=scalar`` forces the scalar path
 for debugging.  See docs/PERFORMANCE.md.
 
 A caller running many searches in a row -- one engine call -- may pass
-a :class:`SearchMemo`: a search that differs from the previous one only
-in hardware the enumerator does not read (the buffer, and the RF for
-dataflows whose ``reads_rf`` is False) then re-masks the previous
-candidate block and its scores instead of enumerating again.
+a :class:`SearchMemo` that knows the caller's upcoming searches.  The
+searches that share everything the enumerator and scorer read but the
+layer then enumerate and score as one segmented block, and a search
+that differs from an earlier one only in hardware the enumerator does
+not read (the buffer, and the RF for dataflows whose ``reads_rf`` is
+False) re-masks that block and its scores instead of enumerating again.
 """
 
 from __future__ import annotations
 
+import itertools
 import logging
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -102,29 +105,128 @@ class MappingSearchResult:
         return self.best is not None
 
 
+def _enumeration_key(dataflow: "Dataflow", hw: HardwareConfig,
+                     objective: str, costs: EnergyCosts) -> tuple:
+    """What a candidate block and its scores depend on, but the layer.
+
+    The dataflow, the array (PE count and geometry), the RF where the
+    dataflow's ``reads_rf`` is set, the objective and the cost table;
+    the buffer only masks the block's ``demand``.
+    """
+    return (dataflow, hw.num_pes, hw.array_h, hw.array_w,
+            hw.rf_words_per_pe if dataflow.reads_rf else None,
+            objective, costs)
+
+
 class SearchMemo:
-    """The last vectorized enumeration of a run of searches, and its scores.
+    """One batch of a caller's searches: their block and its scores.
 
     One engine call (and each of its pool chunks) holds one memo and
-    passes it to every search it runs.  The memo keeps a single entry:
-    the enumeration key -- dataflow, layer, array geometry and PE
-    count, cost table, objective, and the RF when the dataflow's
-    ``reads_rf`` is set -- with the candidate block and its scores.
-    A search with the same key only masks the block's
-    ``demand`` against its own buffer, selects and rebuilds; any other
-    search drops the entry before it enumerates, so at most one block
-    is alive.  A block without ``demand`` gets no key, so the next
-    search enumerates again.  Scores are computed by the first search
-    that has a candidate.  A memo is not thread-safe and not meant to
-    outlive its call: no later call can be answered from it.
+    passes it to every search it runs.  The engine hands the memo the
+    rows it is about to search (:meth:`follow`); a search whose
+    enumeration key -- dataflow, array geometry and PE count, cost
+    table, objective, and the RF when the dataflow's ``reads_rf`` is
+    set -- and layer are not covered by the held block drops that
+    block and enumerates a new batch: the distinct layers of the run
+    of upcoming rows that share its key, as far as the dataflow's slot
+    bound lets one block go (``Dataflow.enumerate_candidate_arrays``).
+    On a grid cell those are the cell's distinct layers.
+
+    Every later search whose key matches and whose layer is a segment
+    of the block masks that segment's ``demand`` against its own
+    buffer, selects and rebuilds -- a DSE point that changes only the
+    buffer (or, where the RF is not read, the RF) reuses the block the
+    same way.  At most one block is alive.  A block without ``demand``
+    gets no key, so the next search enumerates again.  The whole block
+    is scored once, by the first search that has a candidate; each
+    search reads its segment's part.  Each search still runs, fails
+    and degrades on its own.  A memo is not thread-safe and not meant
+    to outlive its call: no later call can be answered from it.
     """
 
-    __slots__ = ("key", "block", "scores")
+    __slots__ = ("key", "block", "scores", "rows", "position")
 
     def __init__(self) -> None:
         self.key: Optional[tuple] = None
         self.block: Optional[kernels.CandidateArrays] = None
         self.scores = None
+        self.rows: Sequence[tuple] = ()
+        self.position = 0
+
+    def follow(self, rows) -> Iterator[tuple]:
+        """Yield the ``(dataflow, layer, hardware, objective)`` rows.
+
+        The caller searches each row as it is yielded, with no costs
+        override (the row's hardware carries its cost table), so a
+        search that enumerates can batch the upcoming rows of its key.
+        """
+        self.rows = rows = list(rows)
+        try:
+            for self.position, row in enumerate(rows):
+                yield row
+        finally:
+            self.rows, self.position = (), 0
+
+    def segment_of(self, key: tuple, layer: LayerShape) -> Optional[int]:
+        """The held block's segment for this search, or None."""
+        if self.key != key:
+            return None
+        segments = self.block.segments
+        for index, segment in enumerate(segments):
+            if segment.layer is layer:
+                return index
+        for index, segment in enumerate(segments):
+            if segment.layer == layer:
+                return index
+        return None
+
+    def start_batch(self, dataflow: "Dataflow", key: tuple,
+                    layer: LayerShape, hw: HardwareConfig) -> bool:
+        """Drop the held block and enumerate the batch this search opens.
+
+        The new block's first segment is ``layer``'s.  Returns False
+        when the dataflow has no array enumerator.
+        """
+        overflow = self.block.overflow if self.key == key else None
+        self.key = self.block = self.scores = None
+        block = dataflow.enumerate_candidate_arrays(
+            self._batch(key, layer, overflow), hw)
+        if block is None:
+            return False
+        self.block = block
+        if block.demand is not None:
+            self.key = key
+        return True
+
+    def _batch(self, key: tuple, layer: LayerShape,
+               overflow) -> Iterator[object]:
+        """The layers a new block for this search may cover, lazily.
+
+        ``layer`` first -- as ``overflow``, the dropped block's plan of
+        the layer its slot bound left out, when that is this layer --
+        then, when this search is the followed row, the distinct
+        layers of the following rows while they share ``key``.  Lazy,
+        so the enumerator reads only as far as its slot bound takes it.
+        """
+        yield (overflow if overflow is not None and overflow.layer == layer
+               else layer)
+        rows, position = self.rows, self.position
+        if (position + 1 >= len(rows) or rows[position][1] is not layer
+                or _row_key(rows[position]) != key):
+            return
+        seen = {layer}
+        for row in itertools.islice(rows, position + 1, None):
+            if _row_key(row) != key:
+                return
+            if row[1] not in seen:
+                seen.add(row[1])
+                yield row[1]
+
+
+def _row_key(row: tuple) -> tuple:
+    """The enumeration key of a followed ``(df, layer, hw, obj)`` row."""
+    dataflow, _layer, hw, objective = row
+    return _enumeration_key(dataflow, hw, objective, hw.costs)
 
 
 def optimize_mapping(dataflow: "Dataflow", layer: LayerShape,
@@ -202,7 +304,8 @@ def _vectorizable(dataflow: "Dataflow", objective: str, score) -> bool:
     three *and still bound to the built-in scorer* (re-registering e.g.
     ``energy`` with a custom callable transparently restores the scalar
     path for it); and -- checked by the caller via the block being
-    non-None -- the dataflow implements ``enumerate_candidate_arrays``.
+    non-None -- the dataflow has an array enumerator
+    (``Dataflow.enumerate_candidate_arrays``).
     """
     if kernels.kernel_mode() == "scalar":
         return False
@@ -217,43 +320,39 @@ def _optimize_vectorized(dataflow: "Dataflow", layer: LayerShape,
                          ) -> Optional[MappingSearchResult]:
     """Run one search on the array kernel; None defers to the scalar path.
 
-    The dataflow emits its candidate space as one
+    The dataflow emits the candidate space as one segment of a
     :class:`~repro.kernels.CandidateArrays` block (None means it has no
-    array enumerator), the kernel scores the whole batch, the buffer
-    masks the scores, and only the winning row is materialized as a
-    :class:`Mapping` through the dataflow's scalar builder -- so the
-    result is field-for-field what the streaming reduction would have
-    produced.  With a ``memo`` holding this search's enumeration key,
-    the block and scores come from the memo instead.
+    array enumerator), the kernel scores the whole block once, the
+    buffer masks this segment's scores, and only the winning row is
+    materialized as a :class:`Mapping` through the dataflow's scalar
+    builder -- so the result is field-for-field what the streaming
+    reduction would have produced.  With a ``memo`` whose block covers
+    this search, the block and scores come from the memo instead; one
+    that does not enumerates the batch of upcoming searches that share
+    this one's key (:meth:`SearchMemo.start_batch`).
     """
     faults.maybe_raise("kernel.vector_error")
     if memo is None:
         memo = SearchMemo()
-    key = (dataflow, hw.num_pes, hw.array_h, hw.array_w,
-           hw.rf_words_per_pe if dataflow.reads_rf else None,
-           objective, cost_table, layer)
-    if memo.key != key:
-        # Free the old block before the next one is built.
-        memo.key = memo.block = memo.scores = None
-        block = dataflow.enumerate_candidate_arrays(layer, hw)
-        if block is None:
+    key = _enumeration_key(dataflow, hw, objective, cost_table)
+    index = memo.segment_of(key, layer)
+    if index is None:
+        if not memo.start_batch(dataflow, key, layer, hw):
             return None
-        memo.block = block
-        if block.demand is not None:
-            memo.key = key
+        index = 0
     block = memo.block
-    feasible = block.feasible(hw.buffer_words)
+    segment = block.segment(index)
+    feasible = segment.feasible(hw.buffer_words)
     candidates = int(np.count_nonzero(feasible))
     if candidates == 0:
         return MappingSearchResult(dataflow=dataflow.name, layer=layer.name,
                                    best=None, candidates=0,
                                    objective=objective)
     if memo.scores is None:
-        memo.scores = kernels.score_candidates(block, layer, cost_table,
-                                               objective)
-    scores = kernels.mask_scores(memo.scores, feasible)
-    winner = kernels.select_best(scores, block.active_pes, tie_tolerance)
-    best = dataflow.rebuild_mapping(layer, hw, block.row_params(winner))
+        memo.scores = kernels.score_candidates(block, cost_table, objective)
+    scores = kernels.mask_scores(memo.scores[block.slots(index)], feasible)
+    winner = kernels.select_best(scores, segment.active_pes, tie_tolerance)
+    best = dataflow.rebuild_mapping(layer, hw, segment.row_params(winner))
     return MappingSearchResult(dataflow=dataflow.name, layer=layer.name,
                                best=best, candidates=candidates,
                                objective=objective)

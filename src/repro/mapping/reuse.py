@@ -255,16 +255,18 @@ def eq3_access_arrays(unique_values: float, a: np.ndarray, b: np.ndarray,
     Returns ``(dram, buffer, array, rf)`` access-count columns.  The
     bypass rule is applied per candidate with the same ``_SPLIT_RTOL``
     threshold as the scalar path: a level whose reuse factor is 1 is
-    skipped and its term zeroed.
+    skipped and its term zeroed.  Each running product is zeroed in
+    place once the next one has read it -- the values ``np.where``
+    would give, without three more candidate grids alive at once.
     """
     dram = unique_values * a
     ab = dram * b
     abc = ab * c
     abcd = abc * d
-    buffer = np.where(b > 1.0 + _SPLIT_RTOL, ab, 0.0)
-    array = np.where(c > 1.0 + _SPLIT_RTOL, abc, 0.0)
-    rf = np.where(d > 1.0 + _SPLIT_RTOL, abcd, 0.0)
-    return dram, buffer, array, rf
+    np.copyto(ab, 0.0, where=~(b > 1.0 + _SPLIT_RTOL))
+    np.copyto(abc, 0.0, where=~(c > 1.0 + _SPLIT_RTOL))
+    np.copyto(abcd, 0.0, where=~(d > 1.0 + _SPLIT_RTOL))
+    return dram, ab, abc, abcd
 
 
 def eq4_access_arrays(unique_values: float, a: np.ndarray, b: np.ndarray,

@@ -29,7 +29,6 @@ module adds only the wire's own rules (known fields, ``network`` xor
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
@@ -456,23 +455,19 @@ class QueryRequest:
             raise ValueError(
                 "set either 'workload' or its alias 'network', not both")
         filters: Dict = {}
-        try:
-            for name in ("workload", "dataflow", "objective", "kind",
-                         "commit"):
-                if data.get(name) is not None:
-                    filters[name] = str(data[name])
-            if data.get("network") is not None:
-                filters["workload"] = str(data["network"])
-            for name in ("batch", "num_pes", "rf_bytes_per_pe", "run_id",
-                         "limit"):
-                if data.get(name) is not None:
-                    filters[name] = operator.index(data[name])
-            if data.get("feasible") is not None:
-                filters["feasible"] = bool(data["feasible"])
-        except TypeError:
-            raise ValueError(
-                f"malformed query field (integer expected): "
-                f"{data!r}") from None
+        for name in ("workload", "dataflow", "objective", "kind", "commit"):
+            if data.get(name) is not None:
+                filters[name] = str(data[name])
+        if data.get("network") is not None:
+            filters["workload"] = str(data["network"])
+        for name in ("batch", "num_pes", "rf_bytes_per_pe", "run_id",
+                     "limit"):
+            if data.get(name) is not None:
+                # No minimum: a filter only narrows the rows, and an RF
+                # of 0 is NLR's.
+                filters[name] = normalize_int(data[name], name, minimum=None)
+        if data.get("feasible") is not None:
+            filters["feasible"] = bool(data["feasible"])
         return cls(request_id=str(data.get("id", default_id)),
                    filters=filters)
 

@@ -22,6 +22,10 @@ random shapes:
   words; and one candidate enumeration, re-masked per buffer size (and
   per RF size where the dataflow does not read the RF), must answer
   exactly what a fresh search at each point answers.
+* :func:`check_batch` -- searches that differ only in their layer
+  enumerate and score as one segmented block; every segment must hold
+  exactly its layer's single-layer block (score bits included), and
+  every search must answer what a fresh search of its layer answers.
 
 Shapes are kept deliberately small so hundreds of cells stay cheap; the
 generator is deterministic per seed, making every failure replayable
@@ -39,6 +43,7 @@ import numpy as np
 
 from repro import faults
 from repro.arch.energy_costs import EnergyCosts
+from repro.dataflows import base as dataflow_base
 from repro.arch.hardware import HardwareConfig, square_array_geometry
 from repro.kernels import score_candidates, select_best
 from repro.mapping.optimizer import OBJECTIVES as _OBJECTIVE_FNS
@@ -49,6 +54,18 @@ COSTS = EnergyCosts.table_iv()
 
 #: The built-in objectives, rotated across generated cells.
 OBJECTIVES = ("energy", "edp", "dram")
+
+
+@contextmanager
+def batch_slots(bound):
+    """Temporarily set the batch enumeration's slot bound (None: keep)."""
+    old = dataflow_base._BATCH_SLOTS
+    if bound is not None:
+        dataflow_base._BATCH_SLOTS = bound
+    try:
+        yield
+    finally:
+        dataflow_base._BATCH_SLOTS = old
 
 
 def bits(value: float) -> bytes:
@@ -297,7 +314,7 @@ def check_parity(dataflow, layer: LayerShape, hw: HardwareConfig,
     # the tie whisker of the batch minimum, and select_best's row
     # reproduces it bit-for-bit.
     scores = np.where(feasible.T.reshape(-1),
-                      score_candidates(block, layer, hw.costs, objective),
+                      score_candidates(block, hw.costs, objective),
                       np.inf)
     best_score = scores[select_best(scores, block.active_pes,
                                     tie_tolerance)]
@@ -381,3 +398,103 @@ def check_buffer_monotonicity(dataflow, layer: LayerShape,
             assert bits(score(shared.best, point.costs)) == \
                 bits(score(fresh.best, point.costs)), (
                     f"{at}: winner score bits diverge")
+
+
+def _same_columns(batch, single) -> bool:
+    """Whether two blocks hold the same slots, bit for bit."""
+    if single.pes.shape[0] == 0:  # the empty block: no folds at all
+        return batch.pes.shape[0] == 0
+
+    def same(a, b):
+        return (a.shape == b.shape and a.dtype == b.dtype
+                and np.array_equal(np.ascontiguousarray(a).view(np.uint8),
+                                   np.ascontiguousarray(b).view(np.uint8)))
+
+    columns = [(batch.pes, single.pes), (batch.mask, single.mask),
+               (batch.demand, single.demand)]
+    columns += list(zip(batch.ifmap + batch.filter + batch.psum,
+                        single.ifmap + single.filter + single.psum))
+    return (batch.params.keys() == single.params.keys()
+            and all(same(batch.params[k], single.params[k])
+                    for k in batch.params)
+            and all(same(a, b) for a, b in columns))
+
+
+def check_batch(dataflow, layers, hw: HardwareConfig,
+                objective: str = "energy", tie_tolerance: float = 0.01,
+                bound=None, context: str = "") -> int:
+    """Assert a run of searches batched into segments answers exactly.
+
+    The rows are ``layers`` on ``hw``, then the first layer again at
+    twice the buffer and the last at a buffer of zero (no candidate
+    fits): searches that differ only in layer or buffer, searched in
+    order through one :class:`~repro.mapping.optimizer.SearchMemo` that
+    follows them, under the slot ``bound`` (None: the module's).
+    Checks, segment by segment of every block the memo built: the
+    segment holds exactly the columns, parameters and score bits of a
+    single-layer enumeration of its layer, and a block of several
+    layers stays within the bound.  Checks, search by search: the
+    candidate count, the winner field for field and its score bits
+    equal a fresh vector search's and a scalar search's.  Returns the
+    number of blocks built.
+    """
+    from dataclasses import replace
+
+    where = f"{context}{dataflow.name}/batch of {len(layers)}/{objective}"
+    score = _OBJECTIVE_FNS[objective]
+    rows = [(dataflow, layer, hw, objective) for layer in layers]
+    rows.append((dataflow, layers[0],
+                 replace(hw, buffer_words=hw.buffer_words * 2), objective))
+    rows.append((dataflow, layers[-1], replace(hw, buffer_words=0),
+                 objective))
+    memo = SearchMemo()
+    blocks, results = [], []
+    with batch_slots(bound), forced_kernel("vector"), \
+            no_degradation(where):
+        limit = dataflow_base._BATCH_SLOTS
+        for _df, layer, point, _obj in memo.follow(rows):
+            results.append(optimize_mapping(
+                dataflow, layer, point, objective=objective,
+                tie_tolerance=tie_tolerance, memo=memo))
+            if memo.block is not None and (
+                    not blocks or memo.block is not blocks[-1]):
+                blocks.append(memo.block)
+        for number, block in enumerate(blocks):
+            at = f"{where}, block {number}"
+            assert len(block.segments) == 1 or block.mask.size <= limit, (
+                f"{at}: {len(block.segments)} layers in "
+                f"{block.mask.size} slots, over the bound of {limit}")
+            scores = score_candidates(block, hw.costs, objective)
+            for index, segment in enumerate(block.segments):
+                single = dataflow.enumerate_candidate_arrays(segment.layer,
+                                                             hw)
+                assert _same_columns(block.segment(index), single), (
+                    f"{at}: segment {segment.layer.name} differs from its "
+                    f"single-layer block")
+                alone = score_candidates(single, hw.costs, objective)
+                assert np.array_equal(
+                    scores[block.slots(index)].view(np.uint64),
+                    alone.view(np.uint64)), (
+                    f"{at}: segment {segment.layer.name} score bits "
+                    f"differ from its single-layer block's")
+    for (_df, layer, point, _obj), shared in zip(rows, results):
+        at = f"{where} at {layer.name}, {point.buffer_words} buffer words"
+        with forced_kernel("vector"), no_degradation(at):
+            fresh = optimize_mapping(dataflow, layer, point,
+                                     objective=objective,
+                                     tie_tolerance=tie_tolerance)
+        with forced_kernel("scalar"):
+            scalar = optimize_mapping(dataflow, layer, point,
+                                      objective=objective,
+                                      tie_tolerance=tie_tolerance)
+        assert shared.candidates == fresh.candidates == scalar.candidates, (
+            f"{at}: candidate counts {shared.candidates} batched, "
+            f"{fresh.candidates} fresh, {scalar.candidates} scalar")
+        assert shared.best == fresh.best == scalar.best, (
+            f"{at}: winners diverge")
+        if shared.best is not None:
+            assert bits(score(shared.best, point.costs)) == \
+                bits(score(scalar.best, point.costs)), (
+                    f"{at}: winner score bits diverge")
+    assert results[-1].best is None, f"{where}: a zero buffer fits"
+    return len(blocks)

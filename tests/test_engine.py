@@ -767,3 +767,109 @@ class TestEnumerationReuse:
             assert tuple(explore_serial(space)) == tuple(pareto)
         finally:
             dataflow_registry.remove("NLR-UNSPLIT")
+
+
+# ----------------------------------------------------------------------
+# One kernel pass per run of searches that differ only in their layer.
+# ----------------------------------------------------------------------
+
+
+@pytest.fixture
+def scorings(monkeypatch):
+    """The segment count of every block the search scored."""
+    import repro.kernels as kernels
+
+    calls = []
+    score = kernels.score_candidates
+
+    def counting(block, *args, **kwargs):
+        calls.append(len(block.segments))
+        return score(block, *args, **kwargs)
+
+    monkeypatch.setattr(kernels, "score_candidates", counting)
+    return calls
+
+
+def vgg16_cell(dataflow: str) -> Scenario:
+    """One serial grid cell: VGG16 (12 distinct shapes in 16 layers)."""
+    return Scenario(workload="vgg16", dataflows=(dataflow,), batches=(1,),
+                    pe_counts=(256,))
+
+
+def answer(scenario: Scenario) -> list:
+    with Session(parallel=False) as session:
+        return [row.to_dict() for row in session.evaluate(scenario)]
+
+
+class TestBatchedSearches:
+    @pytest.mark.parametrize("name", ["NLR", "WS", "OSA", "OSB", "OSC"])
+    def test_a_cell_enumerates_and_scores_once(self, name, enumerations,
+                                               scorings, searches,
+                                               monkeypatch):
+        """A non-RS cell's distinct layers fit one batch: one
+        enumeration and one score pass for its 12 searches."""
+        rows = answer(vgg16_cell(name))
+        assert len(searches) == 12
+        assert len(enumerations) == 1
+        assert scorings == [12]
+        monkeypatch.setenv("REPRO_KERNEL", "scalar")
+        assert answer(vgg16_cell(name)) == rows
+
+    def test_rs_scores_once_per_batch(self, enumerations, scorings,
+                                      searches, monkeypatch):
+        """RS's blocks are large: its batches split at the slot bound,
+        and each batch is enumerated and scored once."""
+        from repro.dataflows.base import _BATCH_SLOTS
+
+        import repro.kernels as kernels
+
+        blocks = []
+        score = kernels.score_candidates
+
+        def keeping(block, *args, **kwargs):
+            blocks.append(block)
+            return score(block, *args, **kwargs)
+
+        monkeypatch.setattr(kernels, "score_candidates", keeping)
+        rows = answer(vgg16_cell("RS"))
+        assert len(searches) == 12
+        assert 1 < len(enumerations) == len(blocks) < 12
+        assert sum(len(block.segments) for block in blocks) == 12
+        for block in blocks:
+            assert len(block.segments) == 1 or block.mask.size <= \
+                _BATCH_SLOTS
+        monkeypatch.setenv("REPRO_KERNEL", "scalar")
+        assert answer(vgg16_cell("RS")) == rows
+
+    def test_a_second_call_enumerates_again(self, enumerations, scorings):
+        """The batch dies with its call: a fresh session's call
+        enumerates and scores its own."""
+        first = answer(vgg16_cell("OSB"))
+        assert len(enumerations) == len(scorings) == 1
+        assert answer(vgg16_cell("OSB")) == first
+        assert len(enumerations) == len(scorings) == 2
+
+    def test_a_single_layer_enumerator_searches_one_layer_at_a_time(
+            self, enumerations, searches, monkeypatch):
+        """A dataflow overriding only ``dense_candidate_arrays`` is a
+        batch of one per search, through its own override."""
+        from repro.registry import dataflow_registry
+
+        register_dataflow(_UnsplitNLR())
+        try:
+            rows = answer(vgg16_cell("NLR-UNSPLIT"))
+            assert len(searches) == len(enumerations) == 12
+            monkeypatch.setenv("REPRO_KERNEL", "scalar")
+            assert answer(vgg16_cell("NLR-UNSPLIT")) == rows
+        finally:
+            dataflow_registry.remove("NLR-UNSPLIT")
+        for row, vector in zip(rows, answer(vgg16_cell("NLR"))):
+            assert row["energy_per_op"] == vector["energy_per_op"]
+
+    def test_the_scalar_kernel_consults_no_enumerator(
+            self, enumerations, scorings, searches, monkeypatch):
+        monkeypatch.setenv("REPRO_KERNEL", "scalar")
+        answer(vgg16_cell("RS"))
+        answer(vgg16_cell("OSA"))
+        assert len(searches) == 24
+        assert enumerations == [] and scorings == []

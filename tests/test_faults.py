@@ -274,7 +274,8 @@ class TestEngineRecovery:
 
 
 class TestKernelDegradation:
-    def test_vector_error_degrades_to_scalar_parity(self):
+    def test_vector_error_degrades_to_scalar_parity(self, monkeypatch):
+        from repro.dataflows.base import Dataflow
         from repro.dataflows.registry import equal_area_hardware
         from repro.mapping.optimizer import optimize_mapping
         from repro.registry import get_dataflow
@@ -288,6 +289,30 @@ class TestKernelDegradation:
         assert stats.injected.get("kernel.vector_error") == 1
         assert stats.kernel_degradations == 1
         assert degraded == baseline  # scalar path is parity-held
+
+        # A multi-layer cell's 12 searches run as one batch: the fault
+        # degrades only the third, and the other eleven keep the batch.
+        cell = Scenario(workload="vgg16", dataflows=("OSB",), batches=(1,),
+                        pe_counts=(256,))
+        with Session(parallel=False) as session:
+            expected = [row.to_dict() for row in session.evaluate(cell)]
+        enumerated = []
+        enumerate_arrays = Dataflow.enumerate_candidate_arrays
+
+        def counting(self, layers, hw):
+            enumerated.append(self.name)
+            return enumerate_arrays(self, layers, hw)
+
+        monkeypatch.setattr(Dataflow, "enumerate_candidate_arrays", counting)
+        faults.reset_stats()
+        with faults.injected("kernel.vector_error=1@3"):
+            with Session(parallel=False) as session:
+                rows = [row.to_dict() for row in session.evaluate(cell)]
+        stats = faults.stats()
+        assert stats.injected.get("kernel.vector_error") == 1
+        assert stats.kernel_degradations == 1
+        assert enumerated == ["OSB"]
+        assert rows == expected
 
 
 class TestStoreWriteRetry:

@@ -28,7 +28,12 @@ import pytest
 
 from repro.dataflows.registry import DATAFLOWS
 
-from parity import ShapeGenerator, check_buffer_monotonicity, check_parity
+from parity import (
+    ShapeGenerator,
+    check_batch,
+    check_buffer_monotonicity,
+    check_parity,
+)
 
 #: Fixed, always-run seed matrix (deterministic CI-blocking coverage).
 _FIXED_SEEDS = (20160618, 20260807)
@@ -88,6 +93,40 @@ class TestBufferMonotonicity:
             check_buffer_monotonicity(dataflow, layer, gen.hardware(),
                                       objective=gen.objective(),
                                       context=f"seed={seed} ")
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("name", sorted(DATAFLOWS))
+class TestBatchedSearches:
+    """Searches that differ only in their layer run as one segmented
+    batch, each answering exactly what a fresh search of its layer
+    does -- within one block and split across several at the bound."""
+
+    @staticmethod
+    def layers(gen):
+        """Every class of the mix: dense, grouped, depthwise, dilated,
+        grouped+dilated, FC (a GEMM) and an edge case."""
+        return [gen.dense_conv(), gen.grouped_conv(), gen.gemm(),
+                gen.dilated_conv(), gen.depthwise_conv(),
+                gen.grouped_dilated_conv(), gen.edge_case(),
+                gen.dense_conv()]
+
+    def test_one_batch(self, name, seed):
+        gen = ShapeGenerator(f"batch:{seed}:{name}")
+        check_batch(DATAFLOWS[name], self.layers(gen), gen.hardware(),
+                    objective=gen.objective(), context=f"seed={seed} ")
+
+    def test_batches_split_at_the_bound(self, name, seed):
+        """A bound of half the layers' slots forces several blocks."""
+        gen = ShapeGenerator(f"split:{seed}:{name}")
+        dataflow, layers, hw = DATAFLOWS[name], self.layers(gen), \
+            gen.hardware()
+        slots = sum(dataflow.enumerate_candidate_arrays(layer, hw).mask.size
+                    for layer in layers)
+        blocks = check_batch(dataflow, layers, hw, objective=gen.objective(),
+                             bound=max(1, slots // 2),
+                             context=f"seed={seed} ")
+        assert blocks >= 2 if slots > 1 else blocks >= 1
 
 
 class TestCoverageFloor:

@@ -138,6 +138,65 @@ class TestOneVocabulary:
         with pytest.raises(ValueError):
             build(pes, batch)
 
+    @pytest.mark.parametrize("value", [True, 2.5, "4"],
+                             ids=["bool", "float", "string"])
+    @pytest.mark.parametrize("name", ["batch", "num_pes",
+                                      "rf_bytes_per_pe", "run_id", "limit"])
+    def test_query_filters_refuse_non_integral_values(self, name, value):
+        """The ``query`` verb's integer filters go through the same
+        normalizer: ``true`` is not batch 1 or one PE."""
+        twin = QueryRequest.from_dict({"verb": "query", name: 4})
+        assert twin.filters == {name: 4}
+        with pytest.raises(ValueError, match=name):
+            QueryRequest.from_dict({"verb": "query", name: value})
+
+    def test_query_filters_keep_zero(self):
+        """A filter only narrows the rows: an RF of 0 matches NLR."""
+        request = QueryRequest.from_dict({"verb": "query",
+                                          "rf_bytes_per_pe": 0})
+        assert request.filters == {"rf_bytes_per_pe": 0}
+
+    @pytest.mark.parametrize("explore", ["explore_stream", "Session"])
+    def test_exploration_refuses_a_non_integral_chunk(self, explore):
+        """``chunk=2.5`` was truncated to chunks of 2; the ``dse``
+        wire already refused it."""
+        from repro.dse import explore_stream
+
+        space = DesignSpace(workload="alexnet-fc", dataflows=("NLR",),
+                            pe_counts=(16, 32, 64), rf_choices=(0,),
+                            batch=1)
+        with Session(parallel=False) as session:
+            run = {"explore_stream": lambda chunk: list(explore_stream(
+                       space, session=session, chunk=chunk)),
+                   "Session": lambda chunk: session.explore(
+                       space, chunk=chunk)}[explore]
+            run(2)  # the integral twin is accepted
+            for chunk in (2.5, True, "2", 0):
+                with pytest.raises(ValueError, match="chunk"):
+                    run(chunk)
+
+    @pytest.mark.parametrize("field,value", [
+        ("area_budget", "500"), ("area_budget", True), ("metrics", 3),
+        ("equal_area", "no"), ("equal_area", 1)])
+    def test_design_space_refuses_mistyped_fields(self, field, value):
+        """Each mistyped field is a ``ValueError`` naming it, not a
+        ``TypeError`` or a silently truthy mode."""
+        with pytest.raises(ValueError, match=field):
+            DesignSpace(workload="alexnet-fc", pe_counts=(64,),
+                        **{field: value})
+
+    def test_design_space_keeps_valid_budgets_as_given(self):
+        """Recorded explorations resume by fingerprint, so a budget of
+        500 and one of 500.0 stay two spaces."""
+        spaces = [DesignSpace(workload="alexnet-fc", pe_counts=(64,),
+                              area_budget=budget, metrics="area")
+                  for budget in (500, 500.0)]
+        assert [space.describe_dict()["area_budget"]
+                for space in spaces] == [500, 500.0]
+        assert [type(space.area_budget) for space in spaces] == [int, float]
+        assert spaces[0].fingerprint() != spaces[1].fingerprint()
+        assert spaces[0].metrics == ("area",)
+
     def test_aliased_dataflow_is_answered_over_the_service(self):
         """A model registered under an alias is served, its rows
         labelled by the alias, as the facade labels them."""
