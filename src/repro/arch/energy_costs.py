@@ -23,6 +23,7 @@ a single level per hop.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 
@@ -48,7 +49,9 @@ class EnergyCosts:
     Defaults reproduce Table IV.  Alternative technology points can be
     modelled by constructing a different instance (used by the ablation
     benchmarks to test sensitivity of the dataflow ranking to the cost
-    ratios).
+    ratios).  Every cost must be finite and non-negative: a NaN or
+    infinite cost would make every candidate's energy NaN or infinite,
+    and the search could not rank them.
     """
 
     dram: float = 200.0
@@ -59,7 +62,11 @@ class EnergyCosts:
 
     def __post_init__(self) -> None:
         for name in ("dram", "buffer", "array", "rf", "alu"):
-            if getattr(self, name) < 0:
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(
+                    f"energy cost {name} must be finite (got {value})")
+            if value < 0:
                 raise ValueError(f"energy cost {name} must be non-negative")
         if not (self.dram >= self.buffer >= self.array >= self.rf):
             raise ValueError(

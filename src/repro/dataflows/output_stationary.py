@@ -69,20 +69,34 @@ def _psum_in_rf(layer: LayerShape) -> AccumSplit:
 class _OutputStationaryBase(Dataflow):
     """Shared scenario machinery of the three OS variants.
 
-    Subclasses define the array-level geometry by implementing
-    :meth:`_configurations`, yielding tuples of::
+    Subclasses define the array-level geometry.  :meth:`_constants`
+    reads a layer's constants once; :meth:`_configurations` walks the
+    variant's tiling loops and turns each point ``(v1, v2, ...)`` of
+    them into its configuration through :meth:`_config`, a tuple of::
 
         (params, active_pes, if_c, images_in_flight, filters_in_flight,
          pixel_rounds, ifmap_window_words, dram_conv_overlap)
 
-    where ``if_c`` is the array-level ifmap reuse per delivery,
-    ``pixel_rounds`` the number of pixel/batch rounds a full plane sweep
-    takes, ``ifmap_window_words`` the ifmap staging set of one round, and
-    ``dram_conv_overlap`` any convolutional reuse the variant cannot
-    exploit on chip (> 1 only for OSC).
+    where ``params`` names the loop point, ``if_c`` is the array-level
+    ifmap reuse per delivery, ``pixel_rounds`` the number of
+    pixel/batch rounds a full plane sweep takes, ``ifmap_window_words``
+    the ifmap staging set of one round, and ``dram_conv_overlap`` any
+    convolutional reuse the variant cannot exploit on chip (> 1 only
+    for OSC).  The winner rebuild calls :meth:`_config` on the slot's
+    ``params``, so each formula lives in one place.
     """
 
     reads_rf = False
+
+    @staticmethod
+    def _constants(layer: LayerShape) -> tuple:
+        """The layer constants :meth:`_config` reads, computed once."""
+        raise NotImplementedError
+
+    @staticmethod
+    def _config(constants: tuple, *point: int) -> tuple:
+        """The configuration of one point of the variant's loops."""
+        raise NotImplementedError
 
     def _configurations(self, layer: LayerShape, hw: HardwareConfig):
         raise NotImplementedError
@@ -94,8 +108,13 @@ class _OutputStationaryBase(Dataflow):
             yield from self._config_candidates(layer, hw, cfg)
 
     def _config_candidates(self, layer: LayerShape, hw: HardwareConfig,
-                           cfg) -> Iterator[Mapping]:
-        """The feasible residency scenarios of one array configuration."""
+                           cfg, scenarios=range(len(_SCENARIOS))
+                           ) -> Iterator[Mapping]:
+        """The feasible residency scenarios of one array configuration.
+
+        ``scenarios`` picks which of them to build, by index into
+        ``_SCENARIOS`` (all three, in order, by default).
+        """
         n, m, c = layer.N, layer.M, layer.C
         r = layer.R
         (params, active, if_c, i_f, m_if, rounds, window,
@@ -110,55 +129,40 @@ class _OutputStationaryBase(Dataflow):
         if if_residual < _EPS:
             return
         chunk_reuse = m / m_if
+        rest = if_residual / chunk_reuse
 
         # Filter: array reuse only across in-flight images; the rest
         # of T_w = N*E^2 is buffer or DRAM re-delivery per scenario.
         w_c = float(i_f)
         w_residual = layer.filter_reuse / w_c
 
-        base_params = dict(params)
-
-        # Scenario 1: whole filter set resident.
-        all_resident = BufferBudget(hw.buffer_words,
-                                    filter_words=m * c * r * r,
-                                    ifmap_words=window)
-        if all_resident.fits:
-            yield self._mapping(
-                layer, psum, active,
-                if_a=dram_overlap, if_b=if_residual, if_c=if_c,
-                w_a=1.0, w_b=w_residual, w_c=w_c,
-                params={**base_params, "scenario": _SCENARIOS[0],
-                        "buffer_occupancy": round(all_resident.occupancy, 3)},
-            )
-
-        # Scenario 2: only the in-flight filter chunk resident; the
-        # ifmap is re-fetched from DRAM once per chunk.
-        chunk = BufferBudget(hw.buffer_words,
-                             filter_words=m_if * c * r * r,
-                             ifmap_words=window)
-        rest = if_residual / chunk_reuse
-        if chunk.fits and rest >= _EPS:
-            yield self._mapping(
-                layer, psum, active,
-                if_a=dram_overlap * chunk_reuse, if_b=rest, if_c=if_c,
-                w_a=1.0, w_b=w_residual, w_c=w_c,
-                params={**base_params, "scenario": _SCENARIOS[1],
-                        "buffer_occupancy": round(chunk.occupancy, 3)},
-            )
-
-        # Scenario 3: weights stream from DRAM once per round; the
-        # round's ifmap working set stays buffered.
-        stream = BufferBudget(hw.buffer_words,
-                              filter_words=m_if * r * r,
-                              ifmap_words=window)
-        if stream.fits and rounds >= 1.0 - _EPS:
-            yield self._mapping(
-                layer, psum, active,
-                if_a=dram_overlap, if_b=if_residual, if_c=if_c,
-                w_a=float(rounds), w_b=w_residual / rounds, w_c=w_c,
-                params={**base_params, "scenario": _SCENARIOS[2],
-                        "buffer_occupancy": round(stream.occupancy, 3)},
-            )
+        # One row per scenario, in _SCENARIOS order: (resident filter
+        # words, whether its split stays legal, if_a, if_b, w_a, w_b).
+        table = (
+            # Scenario 1: whole filter set resident.
+            (m * c * r * r, True,
+             dram_overlap, if_residual, 1.0, w_residual),
+            # Scenario 2: only the in-flight filter chunk resident; the
+            # ifmap is re-fetched from DRAM once per chunk.
+            (m_if * c * r * r, rest >= _EPS,
+             dram_overlap * chunk_reuse, rest, 1.0, w_residual),
+            # Scenario 3: weights stream from DRAM once per round; the
+            # round's ifmap working set stays buffered.
+            (m_if * r * r, rounds >= 1.0 - _EPS,
+             dram_overlap, if_residual, float(rounds), w_residual / rounds),
+        )
+        for index in scenarios:
+            filter_words, legal, if_a, if_b, w_a, w_b = table[index]
+            budget = BufferBudget(hw.buffer_words, filter_words=filter_words,
+                                  ifmap_words=window)
+            if budget.fits and legal:
+                yield self._mapping(
+                    layer, psum, active,
+                    if_a=if_a, if_b=if_b, if_c=if_c,
+                    w_a=w_a, w_b=w_b, w_c=w_c,
+                    params={**params, "scenario": _SCENARIOS[index],
+                            "buffer_occupancy": round(budget.occupancy, 3)},
+                )
 
     def dense_fold_plan(self, layer: LayerShape,
                         hw: HardwareConfig) -> FoldPlan:
@@ -232,16 +236,23 @@ class _OutputStationaryBase(Dataflow):
 
     def rebuild_dense(self, layer: LayerShape, hw: HardwareConfig,
                       params: Dict[str, int]) -> Mapping:
-        """Materialize one candidate slot through the scalar builder."""
-        label = _SCENARIOS[params["scenario"]]
-        wanted = {key: value for key, value in params.items()
-                  if key != "scenario"}
-        for cfg in self._configurations(layer, hw):
-            if dict(cfg[0]) != wanted:
-                continue
-            for mapping in self._config_candidates(layer, hw, cfg):
-                if mapping.params["scenario"] == label:
-                    return mapping
+        """Materialize one candidate slot through the scalar builder.
+
+        The slot's loop point goes through :meth:`_config` and its one
+        scenario through :meth:`_config_candidates`, which still checks
+        that scenario's budget and residual predicates.
+        """
+        point = {key: value for key, value in params.items()
+                 if key != "scenario"}
+        constants = self._constants(layer)
+        try:
+            cfg = self._config(constants, **point)
+        except TypeError:  # not a point of this variant's loops
+            pass
+        else:
+            for mapping in self._config_candidates(
+                    layer, hw, cfg, (params["scenario"],)):
+                return mapping
         raise LookupError(
             f"{self.name} candidate {params} did not rebuild; the "
             f"vectorized feasibility mask and the scalar builder disagree")
@@ -276,22 +287,31 @@ class OutputStationaryA(_OutputStationaryBase):
     description = ("Output stationary SOC-MOP: psum accumulation in RF, "
                    "2D convolutional reuse in the array (Fig. 3a)")
 
+    @staticmethod
+    def _constants(layer: LayerShape) -> tuple:
+        e, r, h = layer.E, layer.R, layer.H
+        # R_eff: the staged window extent per axis when dilated.
+        return (e, layer.N, layer.C, layer.U, layer.R_eff,
+                max(1.0, r * r * e * e / (h * h)))
+
+    @staticmethod
+    def _config(constants: tuple, t_h: int, t_w: int, i_f: int) -> tuple:
+        e, n, c, u, r_span, conv_2d = constants
+        tile = t_h * t_w
+        window = (i_f * c * ((t_h - 1) * u + r_span)
+                  * ((t_w - 1) * u + r_span))
+        rounds = (e * e / tile) * (n / i_f)
+        return ({"t_h": t_h, "t_w": t_w, "i_f": i_f}, tile * i_f, conv_2d,
+                i_f, 1, rounds, window, 1.0)
+
     def _configurations(self, layer: LayerShape, hw: HardwareConfig):
-        e, n, c, r, h, u = (layer.E, layer.N, layer.C, layer.R, layer.H,
-                            layer.U)
-        r_span = layer.R_eff  # staged window extent per axis when dilated
-        conv_2d = max(1.0, r * r * e * e / (h * h))
+        constants, config = self._constants(layer), self._config
+        e, n = layer.E, layer.N
         for t_h in thin_candidates(divisors_up_to(e, hw.array_h), limit=4):
             for t_w in thin_candidates(divisors_up_to(e, hw.array_w), limit=4):
-                tile = t_h * t_w
-                room = hw.num_pes // tile
+                room = hw.num_pes // (t_h * t_w)
                 for i_f in thin_candidates(divisors_up_to(n, room), limit=4):
-                    window = (i_f * c * ((t_h - 1) * u + r_span)
-                              * ((t_w - 1) * u + r_span))
-                    rounds = (e * e / tile) * (n / i_f)
-                    params = {"t_h": t_h, "t_w": t_w, "i_f": i_f}
-                    yield (params, tile * i_f, conv_2d, i_f, 1, rounds,
-                           window, 1.0)
+                    yield config(constants, t_h, t_w, i_f)
 
 
 class OutputStationaryB(_OutputStationaryBase):
@@ -303,22 +323,32 @@ class OutputStationaryB(_OutputStationaryBase):
     description = ("Output stationary MOC-MOP: psum accumulation in RF, "
                    "1D conv + ifmap reuse in the array (Fig. 3b)")
 
+    @staticmethod
+    def _constants(layer: LayerShape) -> tuple:
+        e, r, h = layer.E, layer.R, layer.H
+        # R_eff: the staged window extent per axis when dilated.
+        return (e, layer.N, layer.C, layer.U, layer.R_eff,
+                max(1.0, r * e / h))
+
+    @staticmethod
+    def _config(constants: tuple, m_a: int, t_w: int, i_f: int) -> tuple:
+        e, n, c, u, r_span, conv_1d = constants
+        if_c = m_a * (conv_1d if t_w > 1 else 1.0)
+        window = i_f * c * r_span * ((t_w - 1) * u + r_span)
+        rounds = (e * e / t_w) * (n / i_f)
+        return ({"m_a": m_a, "t_w": t_w, "i_f": i_f}, m_a * t_w * i_f, if_c,
+                i_f, m_a, rounds, window, 1.0)
+
     def _configurations(self, layer: LayerShape, hw: HardwareConfig):
-        e, n, m, c, r, h, u = (layer.E, layer.N, layer.M, layer.C, layer.R,
-                               layer.H, layer.U)
-        r_span = layer.R_eff  # staged window extent per axis when dilated
-        for m_a in thin_candidates(divisors_up_to(m, hw.num_pes), limit=6):
+        constants, config = self._constants(layer), self._config
+        e, n = layer.E, layer.N
+        for m_a in thin_candidates(divisors_up_to(layer.M, hw.num_pes),
+                                   limit=6):
             pix_room = hw.num_pes // m_a
             for t_w in thin_candidates(divisors_up_to(e, pix_room), limit=4):
-                conv_1d = max(1.0, r * e / h) if t_w > 1 else 1.0
-                if_c = m_a * conv_1d
                 room = pix_room // t_w
                 for i_f in thin_candidates(divisors_up_to(n, room), limit=4):
-                    window = i_f * c * r_span * ((t_w - 1) * u + r_span)
-                    rounds = (e * e / t_w) * (n / i_f)
-                    params = {"m_a": m_a, "t_w": t_w, "i_f": i_f}
-                    yield (params, m_a * t_w * i_f, if_c, i_f, m_a, rounds,
-                           window, 1.0)
+                    yield config(constants, m_a, t_w, i_f)
 
 
 class OutputStationaryC(_OutputStationaryBase):
@@ -330,19 +360,28 @@ class OutputStationaryC(_OutputStationaryBase):
     description = ("Output stationary MOC-SOP: psum accumulation in RF, "
                    "ifmap reuse in the array only (Fig. 3c)")
 
-    def _configurations(self, layer: LayerShape, hw: HardwareConfig):
-        e, n, m, c, r, h = (layer.E, layer.N, layer.M, layer.C, layer.R,
-                            layer.H)
+    @staticmethod
+    def _constants(layer: LayerShape) -> tuple:
+        e, r, h = layer.E, layer.R, layer.H
         # The convolutional window overlap cannot be exploited on chip
         # (Table III); it is spent at DRAM.
-        conv_overlap = max(1.0, r * r * e * e / (h * h))
-        for m_a in thin_candidates(divisors_up_to(m, hw.num_pes), limit=6):
+        return (e, layer.N, layer.C, r, max(1.0, r * r * e * e / (h * h)))
+
+    @staticmethod
+    def _config(constants: tuple, m_a: int, n_a: int) -> tuple:
+        e, n, c, r, conv_overlap = constants
+        # Tap-based: one pixel's R^2 taps are gathered, so the staging
+        # set does not grow with dilation.
+        window = n_a * c * r * r
+        rounds = (e * e) * (n / n_a)
+        return ({"m_a": m_a, "n_a": n_a}, m_a * n_a, float(m_a), n_a, m_a,
+                rounds, window, conv_overlap)
+
+    def _configurations(self, layer: LayerShape, hw: HardwareConfig):
+        constants, config = self._constants(layer), self._config
+        for m_a in thin_candidates(divisors_up_to(layer.M, hw.num_pes),
+                                   limit=6):
             room = hw.num_pes // m_a
-            for n_a in thin_candidates(divisors_up_to(n, room), limit=4):
-                # Tap-based: one pixel's R^2 taps are gathered, so the
-                # staging set does not grow with dilation.
-                window = n_a * c * r * r
-                rounds = (e * e) * (n / n_a)
-                params = {"m_a": m_a, "n_a": n_a}
-                yield (params, m_a * n_a, float(m_a), n_a, m_a, rounds,
-                       window, conv_overlap)
+            for n_a in thin_candidates(divisors_up_to(layer.N, room),
+                                       limit=4):
+                yield config(constants, m_a, n_a)

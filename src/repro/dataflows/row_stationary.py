@@ -292,18 +292,18 @@ class RowStationary(Dataflow):
         """Materialize one candidate slot through the scalar builder.
 
         ``params`` is a :meth:`CandidateArrays.row_params` slot; routing
-        it back through :meth:`_build_mappings` guarantees the returned
-        :class:`Mapping` is field-for-field the object the scalar search
-        would have produced.
+        it back through :meth:`_build_mappings`, which builds only the
+        slot's scenario, guarantees the returned :class:`Mapping` is
+        field-for-field the object the scalar search would have
+        produced.
         """
         _array_h, _array_w, r_eff, v_fold = self._geometry(layer, hw)
-        label = _SCENARIOS[params["scenario"]]
         for mapping in self._build_mappings(
                 layer, hw, params["e"], r_eff, v_fold,
                 params["n_s"], params["m_s"], params["c_s"],
-                params["n_r"], params["m_r"], params["c_r"]):
-            if mapping.params["scenario"] == label:
-                return mapping
+                params["n_r"], params["m_r"], params["c_r"],
+                (params["scenario"],)):
+            return mapping
         raise LookupError(
             f"RS candidate {params} did not rebuild; the vectorized "
             f"feasibility mask and the scalar builder disagree")
@@ -348,12 +348,16 @@ class RowStationary(Dataflow):
     def _build_mappings(self, layer: LayerShape, hw: HardwareConfig, e: int,
                         r_eff: int, v_fold: int,
                         n_s: int, m_s: int, c_s: int,
-                        n_r: int, m_r: int, c_r: int) -> Iterator[Mapping]:
+                        n_r: int, m_r: int, c_r: int,
+                        scenarios=range(len(_SCENARIOS))
+                        ) -> Iterator[Mapping]:
         """Yield the feasible pass-order scenarios for one fold choice.
 
-        Three loop orders for the second-phase folding are modelled; all
-        keep the channel-chunk loop innermost so psums never leave the
-        buffer (only final ofmaps reach DRAM, matching Fig. 11's premise):
+        ``scenarios`` picks which of them to build, by index into
+        ``_SCENARIOS`` (all four, in order, by default).  Three loop
+        orders for the second-phase folding are modelled; all keep the
+        channel-chunk loop innermost so psums never leave the buffer
+        (only final ofmaps reach DRAM, matching Fig. 11's premise):
 
         * ``both-resident``: the full ifmap strip tile *and* the full
           filter set stay in the buffer; every input is fetched from DRAM
@@ -417,36 +421,33 @@ class RowStationary(Dataflow):
 
         if if_rest < _EPS:
             return
-        scenarios = (
+        # One row per scenario, in _SCENARIOS order: (resident ifmap
+        # words, resident filter words, if_a, if_b, filt_a, filt_b).
+        table = (
             # Full filter set and the ifmap strip tile both stay resident:
             # every input leaves DRAM exactly once.
-            (_SCENARIOS[0],
-             BufferBudget(hw.buffer_words, ifmap_words=ifmap_tile,
-                          filter_words=filter_all, psum_words=psum_tile),
-             1.0, if_residual, 1.0, filt_pass_reuse),
+            (ifmap_tile, filter_all, 1.0, if_residual, 1.0, filt_pass_reuse),
             # m-chunk outer loop: the current filter chunk is resident
             # across strips/batches; the ifmap is re-read from DRAM once
             # per chunk.
-            (_SCENARIOS[1],
-             BufferBudget(hw.buffer_words, ifmap_words=ifmap_pass,
-                          filter_words=filter_chunk, psum_words=psum_tile),
+            (ifmap_pass, filter_chunk,
              if_chunk_reuse, if_rest, 1.0, filt_pass_reuse),
             # strip/batch outer loop: the ifmap strip tile is resident
             # across m-chunks; weights are re-read from DRAM once per
             # strip/batch pass (FC layers with huge filter sets).
-            (_SCENARIOS[2],
-             BufferBudget(hw.buffer_words, ifmap_words=ifmap_tile,
-                          filter_words=filter_pass, psum_words=psum_tile),
-             1.0, if_residual, filt_pass_reuse, 1.0),
+            (ifmap_tile, filter_pass, 1.0, if_residual, filt_pass_reuse, 1.0),
             # Neither input is held across passes; both are re-read from
             # DRAM per pass.  The optimizer balances m_p (ifmap re-reads)
             # against n_p (weight re-reads) -- the FC sweet spot.
-            (_SCENARIOS[3],
-             BufferBudget(hw.buffer_words, ifmap_words=ifmap_pass,
-                          filter_words=filter_pass, psum_words=psum_tile),
+            (ifmap_pass, filter_pass,
              if_chunk_reuse, if_rest, filt_pass_reuse, 1.0),
         )
-        for label, budget, if_a, if_b, filt_a, filt_b in scenarios:
+        for index in scenarios:
+            ifmap_words, filter_words, if_a, if_b, filt_a, filt_b = \
+                table[index]
+            budget = BufferBudget(hw.buffer_words, ifmap_words=ifmap_words,
+                                  filter_words=filter_words,
+                                  psum_words=psum_tile)
             if not budget.fits:
                 continue
             yield Mapping(
@@ -463,7 +464,7 @@ class RowStationary(Dataflow):
                 params={
                     "e": e, "n_s": n_s, "m_s": m_s, "c_s": c_s,
                     "n_r": n_r, "m_r": m_r, "c_r": c_r,
-                    "scenario": label,
+                    "scenario": _SCENARIOS[index],
                     "buffer_occupancy": round(budget.occupancy, 3),
                 },
             )

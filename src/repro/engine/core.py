@@ -571,7 +571,8 @@ class EvaluationEngine:
         The call's inline searches share one
         :class:`~repro.mapping.optimizer.SearchMemo`, created here and
         dropped with the call: a search repeating the previous one's
-        enumeration key re-masks its candidates instead of enumerating.
+        enumeration key reads the held block's candidates at its own
+        buffer instead of enumerating.
         """
         if parallel is None:
             parallel = self.config.parallel

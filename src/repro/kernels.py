@@ -21,15 +21,17 @@ batch alternative:
   serves every buffer size of its (layer, array) point.
 * A block may hold a *batch*: the spaces of several layers that share
   (dataflow, hardware, objective), one :class:`Segment` of folds per
-  layer, enumerated in one NumPy pass.  A search reads only its own
-  :meth:`CandidateArrays.segment`.
+  layer, enumerated in one NumPy pass.
 * :func:`score_candidates` computes the objective of the *whole grid*
   -- every segment, each fold against its own layer's constants -- in
   a handful of NumPy ops, reusing the vectorized Eq. (3)/(4) math of
-  :mod:`repro.mapping.reuse`; :func:`mask_scores` keeps the candidates
-  of one buffer size.
-* :func:`select_best` reduces the score column to the winning slot
-  under the same min/tie-break rule as
+  :mod:`repro.mapping.reuse`.
+* :meth:`CandidateArrays.candidates` lists the candidate slots of one
+  buffer size in slot order, with each segment's range of that list,
+  in one pass over the block.  A search then gathers only its own
+  segment's scores and tie-break PEs (:meth:`CandidateArrays.slot_pes`).
+* :func:`select_best` reduces a segment's candidate scores to the
+  winning candidate under the same min/tie-break rule as
   :class:`~repro.engine.reducer.StreamingBest`.
 
 Only the argmin winner is ever materialized as a ``Mapping`` (via the
@@ -53,7 +55,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Dict, NamedTuple, Optional, Tuple
+from typing import Dict, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -122,9 +124,10 @@ class CandidateArrays:
     layer: a batch enumeration (``Dataflow.enumerate_candidate_arrays``
     over several layers) puts the layers of one (dataflow, hardware,
     objective) run side by side, so one NumPy pass enumerates and one
-    :func:`score_candidates` call scores them all.  A search reads only
-    its own layer's :meth:`segment`; a single-layer block is a batch of
-    one.
+    :func:`score_candidates` call scores them all.  One
+    :meth:`candidates` pass finds every segment's candidates at a
+    buffer size, and a search reads only its own segment's range of
+    them; a single-layer block is a batch of one.
 
     The grid is stored scenario by scenario -- a ``(K, F)`` array has
     one row per scenario -- so every per-fold ``(F,)`` column
@@ -139,6 +142,8 @@ class CandidateArrays:
     size are :meth:`feasible` -- the same block serves every buffer.
     A block without ``demand`` (a third-party enumerator that filters
     on the buffer itself) holds its candidates in :attr:`mask` alone.
+    :meth:`candidates` lists the candidates at one buffer size in slot
+    order, cut by segment.
 
     Attributes
     ----------
@@ -212,17 +217,54 @@ class CandidateArrays:
         capacity = buffer_words if g_p is None else buffer_words // g_p
         return self.mask & (self.demand <= capacity)
 
+    def candidates(self, buffer_words: int) -> "Candidates":
+        """The candidate slots at one buffer size, cut by segment.
+
+        The set slots of :meth:`feasible`, in slot order (fold-major,
+        scenario-minor: the scalar arrival order), and each segment's
+        range of them -- one pass over the whole block, which every
+        search of the block at this buffer then shares.
+        """
+        slots = _slot_order(self.feasible(buffer_words)).nonzero()[0]
+        segments = self.segments
+        if len(segments) <= 1:
+            bounds = (0, slots.shape[0])
+        else:
+            scenarios = self.mask.shape[0]
+            starts = [segment.start * scenarios for segment in segments]
+            starts.append(segments[-1].stop * scenarios)
+            bounds = np.searchsorted(slots, starts).tolist()
+        return Candidates(buffer_words, slots, bounds)
+
+    def slot_pes(self, slots: np.ndarray) -> np.ndarray:
+        """The active PEs of the given slots: :func:`select_best`'s key."""
+        scenarios = self.mask.shape[0]
+        return self.pes.take(slots if scenarios == 1 else slots // scenarios)
+
     @property
     def active_pes(self) -> np.ndarray:
         """Active PEs per slot: :func:`select_best`'s tie-break key."""
         return np.repeat(self.pes, self.mask.shape[0])
 
     def row_params(self, slot: int) -> Dict[str, int]:
-        """The tiling parameters and scenario index of one slot."""
+        """The tiling parameters and scenario index of one slot.
+
+        A dense layer's fold drops the batch's ``g_p`` column, which its
+        ``rebuild_mapping`` does not take (as in :meth:`segment`).
+        """
         fold, scenario = divmod(slot, self.mask.shape[0])
         params = {name: int(col[fold]) for name, col in self.params.items()}
+        if "g_p" in params and self._layer_of(fold).groups == 1:
+            del params["g_p"]
         params["scenario"] = scenario
         return params
+
+    def _layer_of(self, fold: int) -> LayerShape:
+        """The layer of the segment that holds ``fold``."""
+        for segment in self.segments:
+            if fold < segment.stop:
+                return segment.layer
+        raise IndexError(f"fold {fold} lies past the block's segments")
 
     def slots(self, index: int) -> slice:
         """Segment ``index``'s range of :func:`score_candidates`' column."""
@@ -234,9 +276,11 @@ class CandidateArrays:
         """Segment ``index`` as a block of its own (views, no copies).
 
         Its slots, :meth:`feasible` grid, :attr:`active_pes` and
-        :meth:`row_params` are those of that layer's search alone; a
-        dense layer's folds drop the batch's ``g_p`` column, which its
-        ``rebuild_mapping`` does not take.
+        :meth:`row_params` are those of a single-layer enumeration of
+        that layer; a dense layer's folds drop the batch's ``g_p``
+        column, which its ``rebuild_mapping`` does not take.  The search
+        itself reads its segment through :meth:`candidates`; this view
+        is the per-layer reference the parity checks compare with.
         """
         if len(self.segments) == 1:
             return self
@@ -255,6 +299,41 @@ class CandidateArrays:
                     if name != "g_p" or layer.groups > 1},
             demand=None if self.demand is None else cut(self.demand),
             segments=(Segment(layer, 0, stop - start),))
+
+
+def _slot_order(grid: np.ndarray) -> np.ndarray:
+    """A ``(K, F)`` grid as one column in slot order (fold-major).
+
+    Filled one scenario row at a time, each a strided copy: NumPy's
+    copy of the transposed grid runs a K-long inner loop per fold,
+    which takes about twice as long on a large block.
+    """
+    scenarios = grid.shape[0]
+    if scenarios == 1:
+        return grid.reshape(-1)
+    column = np.empty(grid.size, dtype=grid.dtype)
+    for scenario in range(scenarios):
+        column[scenario::scenarios] = grid[scenario]
+    return column
+
+
+class Candidates(NamedTuple):
+    """A block's candidate slots at one buffer size, cut by segment.
+
+    Made by :meth:`CandidateArrays.candidates`.  ``slots`` holds every
+    segment's candidate slots in slot order (an int64 index per
+    candidate, nothing more, so a record held for a block's life costs
+    8 bytes a candidate), and segment ``i``'s are
+    ``slots[bounds[i]:bounds[i + 1]]`` (:meth:`of`).
+    """
+
+    buffer_words: int
+    slots: np.ndarray
+    bounds: Sequence[int]
+
+    def of(self, index: int) -> np.ndarray:
+        """Segment ``index``'s candidate slots, in slot order (a view)."""
+        return self.slots[self.bounds[index]:self.bounds[index + 1]]
 
 
 def empty_candidates() -> CandidateArrays:
@@ -391,11 +470,10 @@ def score_candidates(block: CandidateArrays, costs: EnergyCosts,
     Returns one score per slot in fold-major, scenario-minor order --
     the scalar yield order the tie-break depends on -- masked or not:
     the scores read neither the mask nor the buffer, so one column
-    serves every buffer size of the block, and
-    :meth:`CandidateArrays.slots` cuts out each segment's part.  Each
-    fold is charged against its own segment's layer, so a batch of
-    layers costs one call.  :func:`mask_scores` keeps the candidates of
-    one buffer for :func:`select_best`.
+    serves every buffer size of the block; a search gathers its
+    segment's candidates (:meth:`Candidates.of`) for
+    :func:`select_best`.  Each fold is charged against its own
+    segment's layer, so a batch of layers costs one call.
     """
     try:
         scorer = SCORERS[objective]
@@ -405,17 +483,6 @@ def score_candidates(block: CandidateArrays, costs: EnergyCosts,
             f"no vectorized scorer for objective {objective!r}; "
             f"known: {known}") from None
     return scorer(block, _layer_words(block), costs).T.reshape(-1)
-
-
-def mask_scores(scores: np.ndarray, feasible: np.ndarray) -> np.ndarray:
-    """The score column of one buffer size, for :func:`select_best`.
-
-    ``scores`` is :func:`score_candidates`' column and ``feasible`` the
-    block's :meth:`~CandidateArrays.feasible` grid at that buffer.
-    Returns the column with +inf where the slot is not a candidate --
-    so no such slot can win, and the candidates keep their score bits.
-    """
-    return np.where(feasible.T.reshape(-1), scores, np.inf)
 
 
 def select_best(scores: np.ndarray, active_pes: np.ndarray,

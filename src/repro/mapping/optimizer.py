@@ -31,7 +31,9 @@ searches that share everything the enumerator and scorer read but the
 layer then enumerate and score as one segmented block, and a search
 that differs from an earlier one only in hardware the enumerator does
 not read (the buffer, and the RF for dataflows whose ``reads_rf`` is
-False) re-masks that block and its scores instead of enumerating again.
+False) reuses that block and its scores instead of enumerating again.
+The block's candidates at a buffer size are found once, for all its
+segments, and each search selects within its own slice of them.
 """
 
 from __future__ import annotations
@@ -40,8 +42,6 @@ import itertools
 import logging
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator, Optional, Sequence
-
-import numpy as np
 
 from repro import faults, kernels
 from repro.arch.energy_costs import EnergyCosts
@@ -119,7 +119,7 @@ def _enumeration_key(dataflow: "Dataflow", hw: HardwareConfig,
 
 
 class SearchMemo:
-    """One batch of a caller's searches: their block and its scores.
+    """One batch of a caller's searches: their block, scores, candidates.
 
     One engine call (and each of its pool chunks) holds one memo and
     passes it to every search it runs.  The engine hands the memo the
@@ -133,23 +133,33 @@ class SearchMemo:
     On a grid cell those are the cell's distinct layers.
 
     Every later search whose key matches and whose layer is a segment
-    of the block masks that segment's ``demand`` against its own
-    buffer, selects and rebuilds -- a DSE point that changes only the
-    buffer (or, where the RF is not read, the RF) reuses the block the
+    of the block reads the block too -- a DSE point that changes only
+    the buffer (or, where the RF is not read, the RF) reuses it the
     same way.  At most one block is alive.  A block without ``demand``
     gets no key, so the next search enumerates again.  The whole block
-    is scored once, by the first search that has a candidate; each
-    search reads its segment's part.  Each search still runs, fails
+    is scored once, by the first search that has a candidate.
+
+    Next to the block the memo holds one :class:`~repro.kernels.
+    Candidates` record: the block's candidate slots at the last buffer
+    a search asked for, in slot order, and each segment's range of
+    them.  A search at another buffer replaces it (no per-buffer
+    history is kept); a new block drops it.  Each search then counts
+    its segment's candidates, gathers their scores and tie-break PEs,
+    selects and rebuilds.  A record is stored only once it is
+    complete, so a search that fails part-way leaves the memo as valid
+    for its siblings as it found it.  Each search still runs, fails
     and degrades on its own.  A memo is not thread-safe and not meant
     to outlive its call: no later call can be answered from it.
     """
 
-    __slots__ = ("key", "block", "scores", "rows", "position")
+    __slots__ = ("key", "block", "scores", "candidates", "rows",
+                 "position")
 
     def __init__(self) -> None:
         self.key: Optional[tuple] = None
         self.block: Optional[kernels.CandidateArrays] = None
         self.scores = None
+        self.candidates: Optional[kernels.Candidates] = None
         self.rows: Sequence[tuple] = ()
         self.position = 0
 
@@ -188,7 +198,7 @@ class SearchMemo:
         when the dataflow has no array enumerator.
         """
         overflow = self.block.overflow if self.key == key else None
-        self.key = self.block = self.scores = None
+        self.key = self.block = self.scores = self.candidates = None
         block = dataflow.enumerate_candidate_arrays(
             self._batch(key, layer, overflow), hw)
         if block is None:
@@ -197,6 +207,18 @@ class SearchMemo:
         if block.demand is not None:
             self.key = key
         return True
+
+    def candidates_at(self, buffer_words: int) -> kernels.Candidates:
+        """The held block's candidates at ``buffer_words``.
+
+        The held record when it is of this buffer, else the block's
+        :meth:`~repro.kernels.CandidateArrays.candidates` pass, which
+        replaces it.
+        """
+        found = self.candidates
+        if found is None or found.buffer_words != buffer_words:
+            found = self.candidates = self.block.candidates(buffer_words)
+        return found
 
     def _batch(self, key: tuple, layer: LayerShape,
                overflow) -> Iterator[object]:
@@ -322,14 +344,17 @@ def _optimize_vectorized(dataflow: "Dataflow", layer: LayerShape,
 
     The dataflow emits the candidate space as one segment of a
     :class:`~repro.kernels.CandidateArrays` block (None means it has no
-    array enumerator), the kernel scores the whole block once, the
-    buffer masks this segment's scores, and only the winning row is
+    array enumerator), the kernel scores the whole block once, and the
+    block's candidates at this buffer are found once
+    (:meth:`SearchMemo.candidates_at`).  The search selects among its
+    own segment's candidates -- in slot order, so the tie-break sees
+    the scalar arrival order -- and only the winning slot is
     materialized as a :class:`Mapping` through the dataflow's scalar
-    builder -- so the result is field-for-field what the streaming
+    builder, so the result is field-for-field what the streaming
     reduction would have produced.  With a ``memo`` whose block covers
-    this search, the block and scores come from the memo instead; one
-    that does not enumerates the batch of upcoming searches that share
-    this one's key (:meth:`SearchMemo.start_batch`).
+    this search, the block, scores and candidates come from the memo
+    instead; one that does not enumerates the batch of upcoming
+    searches that share this one's key (:meth:`SearchMemo.start_batch`).
     """
     faults.maybe_raise("kernel.vector_error")
     if memo is None:
@@ -341,18 +366,16 @@ def _optimize_vectorized(dataflow: "Dataflow", layer: LayerShape,
             return None
         index = 0
     block = memo.block
-    segment = block.segment(index)
-    feasible = segment.feasible(hw.buffer_words)
-    candidates = int(np.count_nonzero(feasible))
-    if candidates == 0:
+    slots = memo.candidates_at(hw.buffer_words).of(index)
+    if slots.shape[0] == 0:
         return MappingSearchResult(dataflow=dataflow.name, layer=layer.name,
                                    best=None, candidates=0,
                                    objective=objective)
     if memo.scores is None:
         memo.scores = kernels.score_candidates(block, cost_table, objective)
-    scores = kernels.mask_scores(memo.scores[block.slots(index)], feasible)
-    winner = kernels.select_best(scores, segment.active_pes, tie_tolerance)
-    best = dataflow.rebuild_mapping(layer, hw, segment.row_params(winner))
+    winner = slots[kernels.select_best(memo.scores.take(slots),
+                                       block.slot_pes(slots), tie_tolerance)]
+    best = dataflow.rebuild_mapping(layer, hw, block.row_params(int(winner)))
     return MappingSearchResult(dataflow=dataflow.name, layer=layer.name,
-                               best=best, candidates=candidates,
+                               best=best, candidates=slots.shape[0],
                                objective=objective)

@@ -25,7 +25,11 @@ random shapes:
 * :func:`check_batch` -- searches that differ only in their layer
   enumerate and score as one segmented block; every segment must hold
   exactly its layer's single-layer block (score bits included), and
-  every search must answer what a fresh search of its layer answers.
+  every search must answer what a fresh search of its layer answers,
+  also when the rows go back and forth between buffer sizes.
+* :func:`check_rebuild_every_slot` -- every candidate slot of a block,
+  not just a winner, rebuilds into exactly the mapping the scalar
+  generator yields at that position.
 
 Shapes are kept deliberately small so hundreds of cells stay cheap; the
 generator is deterministic per seed, making every failure replayable
@@ -325,6 +329,34 @@ def check_parity(dataflow, layer: LayerShape, hw: HardwareConfig,
     return scalar.candidates
 
 
+def check_rebuild_every_slot(dataflow, layer: LayerShape,
+                             hw: HardwareConfig, context: str = "") -> int:
+    """Assert every candidate slot rebuilds into its scalar mapping.
+
+    Enumerates the layer's block, takes every candidate slot at
+    ``hw.buffer_words`` in slot order, rebuilds each through
+    ``rebuild_mapping`` and compares the sequence, field for field,
+    with the scalar ``enumerate_mappings`` sequence on ``hw``.  This
+    pins the rebuild of any slot, not only of the slots that win, to
+    the scan the scalar search makes.  Returns the number of slots.
+    """
+    where = f"{context}{dataflow.name}/{layer.name}"
+    block = dataflow.enumerate_candidate_arrays(layer, hw)
+    assert block is not None, f"{where}: no array enumerator"
+    slots = np.flatnonzero(block.feasible(hw.buffer_words).T.reshape(-1))
+    scalar = list(dataflow.enumerate_mappings(layer, hw))
+    assert len(slots) == len(scalar), (
+        f"{where}: {len(slots)} candidate slots at {hw.buffer_words} "
+        f"buffer words, the scalar generator yields {len(scalar)}")
+    for position, (slot, expected) in enumerate(zip(slots, scalar)):
+        params = block.row_params(int(slot))
+        rebuilt = dataflow.rebuild_mapping(layer, hw, params)
+        assert rebuilt == expected, (
+            f"{where}: slot {slot} ({params}) rebuilt into a mapping "
+            f"other than the scalar generator's candidate {position}")
+    return len(slots)
+
+
 def check_buffer_monotonicity(dataflow, layer: LayerShape,
                               hw: HardwareConfig, objective: str = "energy",
                               factor: int = 4, context: str = "") -> None:
@@ -426,10 +458,12 @@ def check_batch(dataflow, layers, hw: HardwareConfig,
     """Assert a run of searches batched into segments answers exactly.
 
     The rows are ``layers`` on ``hw``, then the first layer again at
-    twice the buffer and the last at a buffer of zero (no candidate
-    fits): searches that differ only in layer or buffer, searched in
-    order through one :class:`~repro.mapping.optimizer.SearchMemo` that
-    follows them, under the slot ``bound`` (None: the module's).
+    twice the buffer, the second at the original buffer again and the
+    last at a buffer of zero (no candidate fits): searches that differ
+    only in layer or buffer, going back and forth between buffers on
+    one block, searched in order through one
+    :class:`~repro.mapping.optimizer.SearchMemo` that follows them,
+    under the slot ``bound`` (None: the module's).
     Checks, segment by segment of every block the memo built: the
     segment holds exactly the columns, parameters and score bits of a
     single-layer enumeration of its layer, and a block of several
@@ -445,6 +479,7 @@ def check_batch(dataflow, layers, hw: HardwareConfig,
     rows = [(dataflow, layer, hw, objective) for layer in layers]
     rows.append((dataflow, layers[0],
                  replace(hw, buffer_words=hw.buffer_words * 2), objective))
+    rows.append((dataflow, layers[min(1, len(layers) - 1)], hw, objective))
     rows.append((dataflow, layers[-1], replace(hw, buffer_words=0),
                  objective))
     memo = SearchMemo()

@@ -47,6 +47,15 @@ class TestEnergyCosts:
         with pytest.raises(ValueError, match="non-negative"):
             EnergyCosts(rf=-1.0)
 
+    @pytest.mark.parametrize("field", ["dram", "buffer", "array", "rf",
+                                       "alu"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, field, value):
+        """A NaN or infinite cost is refused, whatever the field: the
+        ordering check never sees ``alu``, and ``inf`` passes it."""
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            EnergyCosts(**{field: value})
+
     def test_storage_levels_ordered_by_cost(self):
         costs = EnergyCosts()
         values = [costs.cost(l) for l in MemoryLevel.storage_levels()]

@@ -33,6 +33,7 @@ from parity import (
     check_batch,
     check_buffer_monotonicity,
     check_parity,
+    check_rebuild_every_slot,
 )
 
 #: Fixed, always-run seed matrix (deterministic CI-blocking coverage).
@@ -127,6 +128,24 @@ class TestBatchedSearches:
                              bound=max(1, slots // 2),
                              context=f"seed={seed} ")
         assert blocks >= 2 if slots > 1 else blocks >= 1
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("name", sorted(DATAFLOWS))
+class TestRebuildEverySlot:
+    """Every candidate slot, not only the winner, rebuilds into the
+    mapping the scalar generator yields in its place."""
+
+    def test_every_slot_matches_the_scalar_scan(self, name, seed):
+        gen = ShapeGenerator(f"rebuild:{seed}:{name}")
+        dataflow = DATAFLOWS[name]
+        slots = 0
+        for layer in (gen.dense_conv(), gen.grouped_conv(),
+                      gen.dilated_conv(), gen.gemm()):
+            slots += check_rebuild_every_slot(dataflow, layer,
+                                              gen.hardware(),
+                                              context=f"seed={seed} ")
+        assert slots > 0
 
 
 class TestCoverageFloor:
