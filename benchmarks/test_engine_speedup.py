@@ -63,7 +63,7 @@ def test_engine_sweep_speedup(emit, monkeypatch):
     cached_points, cached_s = run_sweep(serial_engine, parallel=False)
 
     # -- vectorized kernel: the default serial path --------------------
-    monkeypatch.setenv("REPRO_KERNEL", "vector")
+    monkeypatch.setenv("REPRO_KERNEL", "auto")
     vector_engine = EvaluationEngine(EngineConfig(parallel=False),
                                      EvaluationCache())
     vector_points, vector_s = run_sweep(vector_engine, parallel=False)

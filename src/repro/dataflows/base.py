@@ -1,9 +1,16 @@
 """Common interface of the dataflow models (Section VI-A).
 
-Every dataflow implements :meth:`Dataflow.enumerate_mappings`, yielding the
-feasible :class:`~repro.mapping.mapping.Mapping` candidates for a layer on
-a hardware configuration.  The mapping optimizer (Section VI-C-3) picks the
-candidate with the lowest Eq. (3)+(4) energy.
+Every dataflow implements :meth:`Dataflow.enumerate_dense`, yielding the
+feasible :class:`~repro.mapping.mapping.Mapping` candidates for a dense
+layer on a hardware configuration; :meth:`Dataflow.enumerate_mappings`
+drives it over a grouped layer's partitions.  The mapping optimizer
+(Section VI-C-3) picks the candidate with the lowest Eq. (3)+(4) energy.
+
+That generator is the whole contract of a third-party dataflow.  It may
+add an array enumerator, the pair :meth:`Dataflow.dense_fold_plan` /
+:meth:`Dataflow.dense_batch_arrays`, which the vectorized kernel
+(:mod:`repro.kernels`) scores; without it every search takes the scalar
+path, with the same answers.
 
 The class attribute :attr:`Dataflow.rf_bytes_per_pe` encodes the dataflow's
 register-file requirement (Section VI-B): RS keeps the 512 B RF it was
@@ -21,7 +28,7 @@ from typing import Iterator, List, NamedTuple, Optional, Tuple
 import numpy as np
 
 from repro.arch.hardware import HardwareConfig, square_array_geometry
-from repro.kernels import CandidateArrays, Segment, concat_candidates
+from repro.kernels import CandidateArrays, Segment, empty_candidates
 from repro.mapping.divisors import divisors_up_to, thin_candidates
 from repro.mapping.mapping import Mapping
 from repro.nn.layer import LayerShape
@@ -90,7 +97,8 @@ class FoldPlan(NamedTuple):
     array configurations, ...), ``folds`` counts them and
     ``scenarios`` is K, so the plan fills ``folds * scenarios`` slots.
     :meth:`Dataflow.dense_batch_arrays` turns the plans of a batch into
-    one block.
+    one block; a built-in's scalar ``enumerate_dense`` walks the same
+    rows.
     """
 
     rows: object
@@ -246,13 +254,14 @@ class Dataflow(abc.ABC):
     #: Long descriptive name from the taxonomy (Table III).
     description: str = ""
 
-    #: Whether :meth:`dense_candidate_arrays` reads
-    #: ``hw.rf_words_per_pe``.  A mapping search reuses the previous
-    #: search's candidate block only at the same RF where this is True
-    #: (see :class:`repro.mapping.optimizer.SearchMemo`); of the
-    #: built-ins only RS reads it.  True unless a dataflow says
-    #: otherwise, so a third-party enumerator is never shared across
-    #: RF sizes it might read.
+    #: Whether the array enumerator (:meth:`dense_fold_plan` and
+    #: :meth:`dense_batch_arrays`) reads ``hw.rf_words_per_pe``.  A
+    #: mapping search reuses the previous search's candidate block only
+    #: at the same RF where this is True (see
+    #: :class:`repro.mapping.optimizer.SearchMemo`); of the built-ins
+    #: only RS reads it.  True unless a dataflow says otherwise, so a
+    #: third-party enumerator is never shared across RF sizes it might
+    #: read.
     reads_rf: bool = True
 
     def __setattr__(self, name: str, value) -> None:
@@ -285,9 +294,7 @@ class Dataflow(abc.ABC):
         if layer.groups == 1:
             yield from self.enumerate_dense(layer, hw)
             return
-        sub = layer.per_group()
-        for g_p in group_parallel_options(layer.groups, hw):
-            sub_hw = partition_hardware(hw, g_p)
+        for sub, sub_hw, g_p in dense_problems(layer, hw):
             for mapping in self.enumerate_dense(sub, sub_hw):
                 yield regroup_mapping(mapping, layer, g_p)
 
@@ -302,6 +309,10 @@ class Dataflow(abc.ABC):
         but must honor ``layer.dilation`` wherever a *contiguous* ifmap
         extent matters (staged rows/windows span ``R_eff`` pixels per
         axis); tap counts stay ``R``-based.
+
+        The one method a third-party dataflow must implement.  A
+        built-in walks the rows of its own :meth:`dense_fold_plan`
+        through its scalar builder, so its loops live in one place.
         """
 
     def enumerate_candidate_arrays(self, layers, hw: HardwareConfig
@@ -331,19 +342,20 @@ class Dataflow(abc.ABC):
         scalar/vector parity holds by construction.  Each problem's
         :meth:`dense_fold_plan` runs its Python loops, then one
         :meth:`dense_batch_arrays` pass evaluates every fold of the
-        batch.  A grouped layer's folds carry their ``g_p`` (active PEs
-        scaled by it), and their ``demand`` is later compared with the
+        batch (a batch without folds is the empty block).  When a
+        layer of the batch is grouped, every fold carries its ``g_p``
+        (1 on a dense layer's folds) and its active PEs are scaled by
+        it: the ``g_p`` groups of a partition run side by side
+        (:func:`regroup_mapping`).  The reuse factors stay per group,
+        which the scorer charges against the full layer's unique-value
+        counts, and each fold's ``demand`` is later compared with its
         partition's ``buffer_words // g_p``
         (:meth:`~repro.kernels.CandidateArrays.feasible`).
 
-        A dataflow that overrides only :meth:`dense_candidate_arrays`
-        enumerates a batch of one through its override.  Returns None
-        (scalar fallback) when the dataflow has no array enumerator.
+        Returns None (scalar fallback) when the dataflow has no array
+        enumerator: its :meth:`dense_fold_plan` returns None.
         """
         run = iter((layers,) if isinstance(layers, LayerShape) else layers)
-        if type(self).dense_candidate_arrays is not \
-                Dataflow.dense_candidate_arrays:
-            return self._single_layer_block(next(run), hw)
         plans: List[LayerPlan] = []
         slots = 0
         overflow = None
@@ -364,11 +376,17 @@ class Dataflow(abc.ABC):
             segments.append(Segment(plan.layer, folds, folds + plan.folds))
             folds += plan.folds
         problems = [problem for plan in plans for problem in plan.problems]
-        block = self.dense_batch_arrays(problems)
-        return _as_batch(block, segments,
-                         [g_p for plan in plans for g_p in plan.g_ps],
-                         [fold_plan.folds for _l, _h, fold_plan in problems],
-                         overflow)
+        block = (self.dense_batch_arrays(problems) if folds
+                 else empty_candidates())
+        if any(plan.layer.groups > 1 for plan in plans):
+            g_ps = [g_p for plan in plans for g_p in plan.g_ps]
+            counts = [fold_plan.folds for _l, _h, fold_plan in problems]
+            g_p = np.repeat(np.array(g_ps, dtype=np.int64), counts)
+            block.pes = block.pes * g_p
+            block.params = {**block.params, "g_p": g_p}
+        block.segments = tuple(segments)
+        block.overflow = overflow
+        return block
 
     def _plan_layer(self, layer: LayerShape, hw: HardwareConfig
                     ) -> Optional[LayerPlan]:
@@ -385,36 +403,18 @@ class Dataflow(abc.ABC):
             slots += plan.folds * plan.scenarios
         return LayerPlan(layer, tuple(problems), tuple(g_ps), folds, slots)
 
-    def _single_layer_block(self, layer: LayerShape, hw: HardwareConfig
-                            ) -> Optional[CandidateArrays]:
-        """One layer through an overridden :meth:`dense_candidate_arrays`.
-
-        A grouped layer's per-partition blocks are spliced along the
-        fold axis (:func:`~repro.kernels.concat_candidates`).
-        """
-        blocks, g_ps, counts = [], [], []
-        for sub, sub_hw, g_p in dense_problems(layer, hw):
-            block = self.dense_candidate_arrays(sub, sub_hw)
-            if block is None:
-                return None
-            if block.pes.shape[0]:
-                blocks.append(block)
-                g_ps.append(g_p)
-                counts.append(block.pes.shape[0])
-        # A copy: the override's own block is never modified.
-        return _as_batch(replace(concat_candidates(blocks)),
-                         [Segment(layer, 0, sum(counts))], g_ps, counts)
-
     def dense_fold_plan(self, layer: LayerShape, hw: HardwareConfig
                         ) -> Optional[FoldPlan]:
         """The folds of one dense problem, before any NumPy, or None.
 
-        The first half of a built-in array enumerator: the Python loops
-        over the tiling choices (divisor lists, array configurations)
-        in :meth:`enumerate_dense`'s order.  The batch driver sums the
-        plans' slots against its bound before :meth:`dense_batch_arrays`
-        evaluates them.  The base implementation returns None: no array
-        enumerator (see :meth:`dense_candidate_arrays`).
+        The first half of an array enumerator: the Python loops over
+        the tiling choices (divisor lists, array configurations) in
+        :meth:`enumerate_dense`'s order -- a built-in's
+        ``enumerate_dense`` walks these rows.  The batch driver sums
+        the plans' slots against its bound before
+        :meth:`dense_batch_arrays` evaluates them.  The base
+        implementation returns None: no array enumerator, so every
+        search of the dataflow takes the scalar path.
         """
         return None
 
@@ -422,46 +422,23 @@ class Dataflow(abc.ABC):
         """One NumPy pass over the folds of a batch of dense problems.
 
         ``problems`` holds ``(layer, hw, plan)`` triples, ``plan`` from
-        :meth:`dense_fold_plan`.  Returns one block whose folds are the
-        problems' folds back to back, in order, with each problem's
-        layer and hardware constants as per-fold columns
-        (:class:`PerProblem`) -- the dense space of each problem, as
-        :meth:`dense_candidate_arrays` describes it.  Implemented by
-        every dataflow whose :meth:`dense_fold_plan` returns plans.
+        :meth:`dense_fold_plan`, with at least one fold among them.
+        Returns one block whose folds are the problems' folds back to
+        back, in order, with each problem's layer and hardware
+        constants as per-fold columns (:class:`PerProblem`): the dense
+        space of each problem, the same slots in the same order as
+        :meth:`enumerate_dense`.  The block never reads
+        ``hw.buffer_words``: its ``mask`` holds only the
+        buffer-independent predicates and its ``demand`` the buffer
+        words each slot claims, so the one block answers every buffer
+        size of its (layer, array) point -- the search reuses it while
+        only the buffer (and, where :attr:`reads_rf` is False, the RF)
+        changes.  Implemented by every dataflow whose
+        :meth:`dense_fold_plan` returns plans.
         """
         raise NotImplementedError(
             f"{type(self).__name__} plans folds but does not implement "
             f"dense_batch_arrays")
-
-    def dense_candidate_arrays(self, layer: LayerShape,
-                               hw: HardwareConfig
-                               ) -> Optional[CandidateArrays]:
-        """Structure-of-arrays twin of :meth:`enumerate_dense`, or None.
-
-        The single-layer array enumerator.  The contract of a block
-        that carries ``demand``: it never reads ``hw.buffer_words``.
-        Its ``mask`` holds only the buffer-independent predicates and
-        its ``demand`` the buffer words each slot claims, so the one
-        block answers every buffer size of its (layer, array) point --
-        the search reuses it while only the buffer (and, where
-        :attr:`reads_rf` is False, the RF) changes.  A block without
-        ``demand`` may filter on the buffer in its ``mask``; it is
-        then never reused.
-
-        The built-in dataflows implement the batched pair
-        :meth:`dense_fold_plan` / :meth:`dense_batch_arrays` instead,
-        and this base implementation is their batch of one.  A
-        third-party dataflow may override this method alone: each of
-        its searches then enumerates a batch of one layer through it
-        (:meth:`enumerate_candidate_arrays`).  With neither, it
-        returns None, which tells ``optimize_mapping`` to fall back to
-        the streaming scalar path (so third-party dataflows keep
-        working unmodified).
-        """
-        plan = self.dense_fold_plan(layer, hw)
-        if plan is None:
-            return None
-        return self.dense_batch_arrays([(layer, hw, plan)])
 
     def rebuild_mapping(self, layer: LayerShape, hw: HardwareConfig,
                         params) -> Mapping:
@@ -502,27 +479,6 @@ class Dataflow(abc.ABC):
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Dataflow {self.name}>"
-
-
-def _as_batch(block: CandidateArrays, segments: List[Segment],
-              g_ps: List[int], counts: List[int],
-              overflow: Optional[LayerPlan] = None) -> CandidateArrays:
-    """Finish a fresh batch block: its segments, and ``g_p`` where grouped.
-
-    ``g_ps`` and ``counts`` give each dense problem's group parallelism
-    and fold count.  When a segment's layer is grouped, every fold gets
-    a ``g_p`` column (1 on dense layers' folds) and its active PEs are
-    scaled by it: the ``g_p`` groups of a partition run side by side
-    (:func:`regroup_mapping`).  The reuse factors stay per group, which
-    the scorer charges against the full layer's unique-value counts.
-    """
-    if any(segment.layer.groups > 1 for segment in segments):
-        g_p = np.repeat(np.array(g_ps, dtype=np.int64), counts)
-        block.pes = block.pes * g_p
-        block.params = {**block.params, "g_p": g_p}
-    block.segments = tuple(segments)
-    block.overflow = overflow
-    return block
 
 
 #: Re-exported for backward compatibility: ``thin_candidates`` moved to

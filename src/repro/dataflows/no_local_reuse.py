@@ -25,7 +25,7 @@ from repro.dataflows.base import (
     PerProblem,
     thin_candidates,
 )
-from repro.kernels import CandidateArrays, empty_candidates
+from repro.kernels import CandidateArrays
 from repro.mapping.divisors import divisors_up_to
 from repro.mapping.mapping import Mapping
 from repro.mapping.reuse import AccumSplit, ReuseSplit
@@ -46,17 +46,14 @@ class NoLocalReuse(Dataflow):
     def enumerate_dense(self, layer: LayerShape,
                         hw: HardwareConfig) -> Iterator[Mapping]:
         """Yield every legal dense (groups=1) NLR mapping on ``hw``."""
-        m, c = layer.M, layer.C
-        for m_g in thin_candidates(divisors_up_to(m, hw.num_pes), limit=8):
-            room = hw.num_pes // m_g
-            for c_g in thin_candidates(divisors_up_to(c, room), limit=6):
-                mapping = self._build_mapping(layer, hw, m_g, c_g)
-                if mapping is not None:
-                    yield mapping
+        for m_g, c_g in zip(*self.dense_fold_plan(layer, hw).rows):
+            mapping = self._build_mapping(layer, hw, m_g, c_g)
+            if mapping is not None:
+                yield mapping
 
     def dense_fold_plan(self, layer: LayerShape,
                         hw: HardwareConfig) -> FoldPlan:
-        """The ``(m_g, c_g)`` pairs of :meth:`enumerate_dense`, in order.
+        """The ``(m_g, c_g)`` pairs of the NLR mapping space, in order.
 
         NLR has a single residency scenario: K = 1.
         """
@@ -80,8 +77,6 @@ class NoLocalReuse(Dataflow):
         """
         per = PerProblem(problems)
         count = per.folds
-        if not count:
-            return empty_candidates()
         mg = per.column(itemgetter(0))
         cg = per.column(itemgetter(1))
         n, c, r, e, h = per("N"), per("C"), per("R"), per("E"), per("H")

@@ -45,7 +45,7 @@ from repro.dataflows.base import (
     PerProblem,
     thin_candidates,
 )
-from repro.kernels import CandidateArrays, empty_candidates
+from repro.kernels import CandidateArrays
 from repro.mapping.divisors import divisors_up_to
 from repro.mapping.mapping import Mapping
 from repro.mapping.reuse import AccumSplit, ReuseSplit
@@ -184,8 +184,6 @@ class _OutputStationaryBase(Dataflow):
         block never reads ``hw.buffer_words``.
         """
         per = PerProblem(problems)
-        if not per.folds:
-            return empty_candidates()
         cfgs = [cfg for rows in per.plans for cfg in rows]
         m, c, r = per("M"), per("C"), per("R")
 

@@ -49,7 +49,7 @@ from repro.dataflows.base import (
     PerProblem,
     thin_candidates,
 )
-from repro.kernels import CandidateArrays, empty_candidates
+from repro.kernels import CandidateArrays
 from repro.mapping.divisors import divisors, divisors_up_to, largest_divisor_up_to
 from repro.mapping.mapping import Mapping
 from repro.mapping.reuse import AccumSplit, ReuseSplit
@@ -85,14 +85,17 @@ def _rf_fold_arrays(r: int, rf_words: int, v_fold: int, n_left: int,
                     ) -> Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """The RF-feasible ``(n_r, m_r, c_r)`` fold triples, as int64 columns.
 
-    The array twin of :meth:`RowStationary._rf_folds`: the full thinned
-    cross product in the same n_r-major / c_r-minor order, filtered by
-    the identical scratchpad-fit inequality.  Memoized because the key
+    The interleavings whose scratchpads fit the RF, from the thinned
+    cross product in n_r-major / c_r-minor order.  The per-PE
+    register-file working set (Section V-C, mirroring the chip's three
+    scratchpads) is ``v_fold`` filter rows of R words per interleaved
+    (m, c) primitive, the matching ifmap sliding windows, and
+    ``m_r*n_r`` running psum accumulators.  Memoized because the key
     depends only on the per-PE geometry -- across a sweep the same
     ``(n_left, m_left, c_left)`` residues recur for every layer x
-    hardware cell.  Returns None when no fold fits (the caller skips the
-    whole sub-tree, as the scalar generator does implicitly).  Callers
-    must treat the returned arrays as read-only.
+    hardware cell.  Returns None when no fold fits (the fold plan skips
+    the whole sub-tree).  Callers must treat the returned arrays as
+    read-only.
     """
     nr_list = thin_candidates(divisors(n_left), limit=4)
     mr_list = thin_candidates(divisors(m_left), limit=6)
@@ -141,29 +144,23 @@ class RowStationary(Dataflow):
 
     def enumerate_dense(self, layer: LayerShape,
                         hw: HardwareConfig) -> Iterator[Mapping]:
-        """Yield every legal dense (groups=1) RS mapping on ``hw``."""
-        array_h, array_w, r_eff, v_fold = self._geometry(layer, hw)
+        """Yield every legal dense (groups=1) RS mapping on ``hw``.
 
-        rf_words = hw.rf_words_per_pe
-        n, m, c = layer.N, layer.M, layer.C
-
-        for e in thin_candidates(divisors_up_to(layer.E, array_w)):
-            sets_v = array_h // r_eff
-            sets_h = array_w // e
-            max_sets = sets_v * sets_h
-            if max_sets < 1:
-                continue
-            for n_s, m_s, c_s in self._spatial_assignments(n, m, c, max_sets):
-                for n_r, m_r, c_r in self._rf_folds(
-                        layer, rf_words, v_fold,
-                        n // n_s, m // m_s, c // c_s):
-                    yield from self._build_mappings(
-                        layer, hw, e, r_eff, v_fold,
-                        n_s, m_s, c_s, n_r, m_r, c_r)
+        Walks the folds of :meth:`dense_fold_plan` in order, each
+        through :meth:`_build_mappings`.
+        """
+        choices = self.dense_fold_plan(layer, hw).rows
+        for e, n_s, m_s, c_s, (nr, mr, cr) in zip(
+                choices.e, choices.n_s, choices.m_s, choices.c_s,
+                choices.blocks):
+            for n_r, m_r, c_r in zip(nr.tolist(), mr.tolist(), cr.tolist()):
+                yield from self._build_mappings(
+                    layer, hw, e, choices.r_eff, choices.v_fold,
+                    n_s, m_s, c_s, n_r, m_r, c_r)
 
     def dense_fold_plan(self, layer: LayerShape,
                         hw: HardwareConfig) -> FoldPlan:
-        """The ``e`` x spatial loops of :meth:`enumerate_dense`, in order.
+        """The ``e`` x spatial x RF-fold loops of the RS mapping space.
 
         The loops run in Python (their divisor lists are memoized) and
         the RF-fold cross product of each ``(e, n_s, m_s, c_s)`` choice
@@ -212,8 +209,6 @@ class RowStationary(Dataflow):
         stacked from per-scenario temporaries.
         """
         per = PerProblem(problems)
-        if not per.folds:
-            return empty_candidates()
         plans = per.plans
         fold_blocks = [block for plan in plans for block in plan.blocks]
         reps = np.array([block[0].shape[0] for block in fold_blocks],
@@ -321,25 +316,6 @@ class RowStationary(Dataflow):
                 room = max_sets // (n_s * m_s)
                 for c_s in thin_candidates(divisors_up_to(c, room), limit=4):
                     yield n_s, m_s, c_s
-
-    def _rf_folds(self, layer: LayerShape, rf_words: int, v_fold: int,
-                  n_left: int, m_left: int,
-                  c_left: int) -> Iterator[tuple[int, int, int]]:
-        """(n_r, m_r, c_r) interleavings whose scratchpads fit the RF.
-
-        Per-PE register-file working set (Section V-C, mirroring the chip's
-        three scratchpads): ``v_fold`` filter rows of R words per
-        interleaved (m, c) primitive, the matching ifmap sliding windows,
-        and ``m_r*n_r`` running psum accumulators.
-        """
-        r = layer.R
-        for n_r in thin_candidates(divisors(n_left), limit=4):
-            for m_r in thin_candidates(divisors(m_left), limit=6):
-                for c_r in thin_candidates(divisors(c_left), limit=4):
-                    words = v_fold * ((m_r * c_r * r) + (n_r * c_r * r))
-                    words += m_r * n_r
-                    if words <= rf_words:
-                        yield n_r, m_r, c_r
 
     # ------------------------------------------------------------------
     # Reuse-split construction.

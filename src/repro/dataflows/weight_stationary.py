@@ -39,7 +39,7 @@ from repro.dataflows.base import (
     PerProblem,
     thin_candidates,
 )
-from repro.kernels import CandidateArrays, empty_candidates
+from repro.kernels import CandidateArrays
 from repro.mapping.divisors import divisors_up_to
 from repro.mapping.mapping import Mapping
 from repro.mapping.reuse import AccumSplit, ReuseSplit
@@ -65,21 +65,14 @@ class WeightStationary(Dataflow):
         and reuse factor is tap-based (R x R pinned weights, one staged
         row per in-flight channel), independent of where the taps land.
         """
-        r2 = layer.R ** 2
-        blocks = hw.num_pes // r2
-        if blocks < 1:
-            return  # The array cannot hold even one R x R filter plane.
-
-        n, m, c = layer.N, layer.M, layer.C
-        for m_f in thin_candidates(divisors_up_to(m, blocks)):
-            for c_f in thin_candidates(divisors_up_to(c, blocks // m_f)):
-                mapping = self._build_mapping(layer, hw, m_f, c_f)
-                if mapping is not None:
-                    yield mapping
+        for m_f, c_f in zip(*self.dense_fold_plan(layer, hw).rows):
+            mapping = self._build_mapping(layer, hw, m_f, c_f)
+            if mapping is not None:
+                yield mapping
 
     def dense_fold_plan(self, layer: LayerShape,
                         hw: HardwareConfig) -> FoldPlan:
-        """The ``(m_f, c_f)`` pairs of :meth:`enumerate_dense`, in order.
+        """The ``(m_f, c_f)`` pairs of the WS mapping space, in order.
 
         Empty when the array cannot hold one R x R filter plane.  WS
         has a single residency scenario: K = 1.
@@ -105,8 +98,6 @@ class WeightStationary(Dataflow):
         """
         per = PerProblem(problems)
         count = per.folds
-        if not count:
-            return empty_candidates()
         mf = per.column(itemgetter(0))
         cf = per.column(itemgetter(1))
         n, c, e, h = per("N"), per("C"), per("E"), per("H")

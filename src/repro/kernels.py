@@ -8,15 +8,17 @@ candidate and scores it one float at a time -- tens of thousands of
 dataclass allocations per (dataflow, layer) cell.  This module is the
 batch alternative:
 
-* Each dataflow emits its full candidate space as a
+* Each dataflow with an array enumerator (the ``dense_fold_plan`` /
+  ``dense_batch_arrays`` pair of :class:`~repro.dataflows.base.
+  Dataflow`) emits its full candidate space as a
   :class:`CandidateArrays` block -- *structure of arrays* over a
   fold x scenario grid: one column per fold for everything a
   buffer-residency scenario does not change, one ``(K, F)`` grid for
   the split factors it does, a mask of the slots that are feasible
   whatever the buffer, and each slot's global-buffer ``demand`` -- in
   exactly the order (and with exactly the feasibility filters) of its
-  scalar ``enumerate_mappings`` generator.  A block with ``demand``
-  never reads ``buffer_words``: the buffer only decides which slots
+  scalar ``enumerate_mappings`` generator.  A block never reads
+  ``buffer_words``: the buffer only decides which slots
   :meth:`CandidateArrays.feasible` keeps, so one block (and its scores)
   serves every buffer size of its (layer, array) point.
 * A block may hold a *batch*: the spaces of several layers that share
@@ -46,8 +48,9 @@ six dataflows x AlexNet/VGG16/ResNet-18 x a randomized hardware grid).
 
 The kernel handles the three built-in objectives (``energy``, ``edp``,
 ``dram``); custom ``@register_objective`` callables take arbitrary
-``Mapping`` objects and therefore stream through the scalar path.  The
-``REPRO_KERNEL`` environment variable overrides the dispatch for
+``Mapping`` objects and therefore stream through the scalar path, as
+does a dataflow that implements only the scalar ``enumerate_dense``.
+The ``REPRO_KERNEL`` environment variable overrides the dispatch for
 debugging (see :func:`kernel_mode`).
 """
 
@@ -68,21 +71,19 @@ from repro.mapping.reuse import (
 from repro.nn.layer import LayerShape
 
 #: Recognized ``REPRO_KERNEL`` values.
-_KERNEL_MODES = ("auto", "vector", "scalar")
+_KERNEL_MODES = ("auto", "scalar")
 
 
 def kernel_mode() -> str:
-    """The active kernel policy: ``auto`` (default), ``vector``, ``scalar``.
+    """The active kernel policy: ``auto`` (default) or ``scalar``.
 
     Read from the ``REPRO_KERNEL`` environment variable on every call so
     tests and debugging sessions can flip it without re-importing:
 
     ==========  ========================================================
-    ``auto``    vectorized kernel for the built-in objectives, scalar
-                streaming search otherwise (the default)
-    ``vector``  same dispatch as ``auto`` (the kernel cannot evaluate
-                arbitrary Python objectives, so custom objectives still
-                stream); spelled out for symmetry and log clarity
+    ``auto``    vectorized kernel for the built-in objectives on
+                dataflows with an array enumerator, scalar streaming
+                search otherwise (the default)
     ``scalar``  force the scalar path everywhere (debugging / parity
                 baselines)
     ==========  ========================================================
@@ -135,13 +136,11 @@ class CandidateArrays:
     the value, not the arithmetic: each slot's score comes from the
     same expression tree as the scalar candidate's float.
 
-    The contract of a block with :attr:`demand`: its enumerator never
-    read ``hw.buffer_words``.  Every buffer-independent predicate is
-    in :attr:`mask`, and the words each slot claims of the global
-    buffer are in :attr:`demand`, so the candidates at one buffer
-    size are :meth:`feasible` -- the same block serves every buffer.
-    A block without ``demand`` (a third-party enumerator that filters
-    on the buffer itself) holds its candidates in :attr:`mask` alone.
+    The contract of a block: its enumerator never read
+    ``hw.buffer_words``.  Every buffer-independent predicate is in
+    :attr:`mask`, and the words each slot claims of the global buffer
+    are in :attr:`demand`, so the candidates at one buffer size are
+    :meth:`feasible` -- the same block serves every buffer.
     :meth:`candidates` lists the candidates at one buffer size in slot
     order, cut by segment.
 
@@ -162,9 +161,8 @@ class CandidateArrays:
         predicates hold (PE count, RF fit, vanished reuse, ...).
     demand:
         ``(K, F)`` int64 grid of the global-buffer words each slot's
-        working sets claim (what the scalar ``BufferBudget`` sums), or
-        None when :attr:`mask` already applies the buffer.  A grouped
-        layer's folds compare it with their partition's share,
+        working sets claim (what the scalar ``BufferBudget`` sums).  A
+        grouped layer's folds compare it with their partition's share,
         ``buffer_words // g_p``.
     params:
         Per-fold tiling parameters (int64 columns keyed by name, e.g.
@@ -190,18 +188,10 @@ class CandidateArrays:
     psum: Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
     pes: np.ndarray
     mask: np.ndarray
+    demand: np.ndarray
     params: Dict[str, np.ndarray] = field(default_factory=dict)
-    demand: Optional[np.ndarray] = None
     segments: Tuple[Segment, ...] = ()
     overflow: object = None
-
-    def __len__(self) -> int:
-        """The masked-in slots: the candidates of the largest buffer.
-
-        The candidates at one buffer size are the set slots of
-        :meth:`feasible`; a block without :attr:`demand` has no other.
-        """
-        return int(np.count_nonzero(self.mask))
 
     def feasible(self, buffer_words: int) -> np.ndarray:
         """The ``(K, F)`` grid of the candidates at one buffer size.
@@ -211,8 +201,6 @@ class CandidateArrays:
         the ``buffer_words // g_p`` words of its group's partition, as
         the scalar driver's ``partition_hardware`` gives it.
         """
-        if self.demand is None:
-            return self.mask
         g_p = self.params.get("g_p")
         capacity = buffer_words if g_p is None else buffer_words // g_p
         return self.mask & (self.demand <= capacity)
@@ -297,7 +285,7 @@ class CandidateArrays:
             psum=cut4(self.psum), pes=cut(self.pes), mask=cut(self.mask),
             params={name: cut(column) for name, column in self.params.items()
                     if name != "g_p" or layer.groups > 1},
-            demand=None if self.demand is None else cut(self.demand),
+            demand=cut(self.demand),
             segments=(Segment(layer, 0, stop - start),))
 
 
@@ -337,50 +325,13 @@ class Candidates(NamedTuple):
 
 
 def empty_candidates() -> CandidateArrays:
-    """A zero-fold block: the dataflow cannot run the layer at all."""
+    """A zero-fold block: the dataflow cannot run any layer of a batch."""
     z = np.zeros(0, dtype=np.float64)
     return CandidateArrays(ifmap=(z, z, z, z), filter=(z, z, z, z),
                            psum=(z, z, z, z),
                            pes=np.zeros(0, dtype=np.int64),
                            mask=np.zeros((1, 0), dtype=bool),
                            demand=np.zeros((1, 0), dtype=np.int64))
-
-
-def concat_candidates(blocks) -> CandidateArrays:
-    """Concatenate :class:`CandidateArrays` blocks along the fold axis.
-
-    The driver of a dataflow with only a single-layer enumerator splices
-    the dense block of each of a grouped layer's group-parallelism
-    partitions into one candidate space; folds keep block order,
-    matching the scalar generator's loop nesting (the tie-break is
-    order-sensitive).  Zero-fold blocks are dropped; with none left the
-    empty block is returned.  All remaining blocks come from the same
-    dataflow, so they share K, the ``params`` keys and whether they
-    carry ``demand``.
-    """
-    blocks = [block for block in blocks if block.pes.shape[0]]
-    if not blocks:
-        return empty_candidates()
-    if len(blocks) == 1:
-        return blocks[0]
-
-    def cat(columns):
-        return np.concatenate(columns, axis=-1)
-
-    def cat4(tuples):
-        return tuple(cat(cols) for cols in zip(*tuples))
-
-    return CandidateArrays(
-        ifmap=cat4([block.ifmap for block in blocks]),
-        filter=cat4([block.filter for block in blocks]),
-        psum=cat4([block.psum for block in blocks]),
-        pes=cat([block.pes for block in blocks]),
-        mask=cat([block.mask for block in blocks]),
-        params={name: cat([block.params[name] for block in blocks])
-                for name in blocks[0].params},
-        demand=(None if blocks[0].demand is None
-                else cat([block.demand for block in blocks])),
-    )
 
 
 def _layer_words(block: CandidateArrays):

@@ -19,7 +19,9 @@ The search runs one of two equivalent engines:
   :class:`~repro.engine.reducer.StreamingBest` reducer, never
   materializing the full candidate list -- the fallback for custom
   ``@register_objective`` callables (which take arbitrary ``Mapping``
-  objects) and for dataflows without an array enumerator.
+  objects) and for a dataflow that implements only the scalar
+  ``enumerate_dense``, without the ``dense_fold_plan`` /
+  ``dense_batch_arrays`` array enumerator.
 
 Both return bit-identical results (same winning mapping, same score,
 same candidate count); ``REPRO_KERNEL=scalar`` forces the scalar path
@@ -135,9 +137,8 @@ class SearchMemo:
     Every later search whose key matches and whose layer is a segment
     of the block reads the block too -- a DSE point that changes only
     the buffer (or, where the RF is not read, the RF) reuses it the
-    same way.  At most one block is alive.  A block without ``demand``
-    gets no key, so the next search enumerates again.  The whole block
-    is scored once, by the first search that has a candidate.
+    same way.  At most one block is alive.  The whole block is scored
+    once, by the first search that has a candidate.
 
     Next to the block the memo holds one :class:`~repro.kernels.
     Candidates` record: the block's candidate slots at the last buffer
@@ -203,9 +204,7 @@ class SearchMemo:
             self._batch(key, layer, overflow), hw)
         if block is None:
             return False
-        self.block = block
-        if block.demand is not None:
-            self.key = key
+        self.block, self.key = block, key
         return True
 
     def candidates_at(self, buffer_words: int) -> kernels.Candidates:

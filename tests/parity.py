@@ -97,7 +97,7 @@ def no_degradation(where: str):
 
     ``optimize_mapping`` answers a raising kernel with the bit-identical
     scalar search and ticks the ``kernel_degradations`` recovery
-    counter.  A "vector" search that degraded would be the scalar path
+    counter.  A vectorized search that degraded would be the scalar path
     compared with itself, so a broken kernel would pass every parity
     check; this guard makes it fail instead.
     """
@@ -257,7 +257,7 @@ def _search_both(dataflow, layer, hw, objective: str,
     with forced_kernel("scalar"):
         scalar = optimize_mapping(dataflow, layer, hw, objective=objective,
                                   tie_tolerance=tie_tolerance)
-    with forced_kernel("vector"), no_degradation(where):
+    with forced_kernel("auto"), no_degradation(where):
         vector = optimize_mapping(dataflow, layer, hw, objective=objective,
                                   tie_tolerance=tie_tolerance)
     return scalar, vector
@@ -408,7 +408,7 @@ def check_buffer_monotonicity(dataflow, layer: LayerShape,
     first = None
     for label, point in points:
         at = f"{where} at the {label} point"
-        with forced_kernel("vector"), no_degradation(at):
+        with forced_kernel("auto"), no_degradation(at):
             shared = optimize_mapping(dataflow, layer, point,
                                       objective=objective, memo=memo)
         with forced_kernel("scalar"):
@@ -457,13 +457,17 @@ def check_batch(dataflow, layers, hw: HardwareConfig,
                 bound=None, context: str = "") -> int:
     """Assert a run of searches batched into segments answers exactly.
 
-    The rows are ``layers`` on ``hw``, then the first layer again at
-    twice the buffer, the second at the original buffer again and the
+    The rows are ``layers`` on ``hw``, then the first layer again at a
+    smaller buffer, the second at the original buffer again and the
     last at a buffer of zero (no candidate fits): searches that differ
     only in layer or buffer, going back and forth between buffers on
     one block, searched in order through one
     :class:`~repro.mapping.optimizer.SearchMemo` that follows them,
-    under the slot ``bound`` (None: the module's).
+    under the slot ``bound`` (None: the module's).  The smaller buffer
+    is ``hw``'s halved until the second layer's candidate count there
+    differs from its count at ``hw`` (down to 0), so a memo that
+    answered the return to ``hw``'s buffer from the record of the row
+    before would miscount it.
     Checks, segment by segment of every block the memo built: the
     segment holds exactly the columns, parameters and score bits of a
     single-layer enumeration of its layer, and a block of several
@@ -476,15 +480,28 @@ def check_batch(dataflow, layers, hw: HardwareConfig,
 
     where = f"{context}{dataflow.name}/batch of {len(layers)}/{objective}"
     score = _OBJECTIVE_FNS[objective]
+    back = layers[min(1, len(layers) - 1)]
+    feasible = dataflow.enumerate_candidate_arrays(back, hw).feasible
+
+    def count(words: int) -> int:
+        return int(np.count_nonzero(feasible(words)))
+
+    at_hw = count(hw.buffer_words)
+    smaller = hw.buffer_words // 2
+    while smaller and count(smaller) == at_hw:
+        smaller //= 2
+    assert not at_hw or count(smaller) != at_hw, (
+        f"{where}: {back.name} has {at_hw} candidates at both "
+        f"{hw.buffer_words} and {smaller} buffer words")
     rows = [(dataflow, layer, hw, objective) for layer in layers]
-    rows.append((dataflow, layers[0],
-                 replace(hw, buffer_words=hw.buffer_words * 2), objective))
-    rows.append((dataflow, layers[min(1, len(layers) - 1)], hw, objective))
+    rows.append((dataflow, layers[0], replace(hw, buffer_words=smaller),
+                 objective))
+    rows.append((dataflow, back, hw, objective))
     rows.append((dataflow, layers[-1], replace(hw, buffer_words=0),
                  objective))
     memo = SearchMemo()
     blocks, results = [], []
-    with batch_slots(bound), forced_kernel("vector"), \
+    with batch_slots(bound), forced_kernel("auto"), \
             no_degradation(where):
         limit = dataflow_base._BATCH_SLOTS
         for _df, layer, point, _obj in memo.follow(rows):
@@ -514,7 +531,7 @@ def check_batch(dataflow, layers, hw: HardwareConfig,
                     f"differ from its single-layer block's")
     for (_df, layer, point, _obj), shared in zip(rows, results):
         at = f"{where} at {layer.name}, {point.buffer_words} buffer words"
-        with forced_kernel("vector"), no_degradation(at):
+        with forced_kernel("auto"), no_degradation(at):
             fresh = optimize_mapping(dataflow, layer, point,
                                      objective=objective,
                                      tie_tolerance=tie_tolerance)

@@ -7,6 +7,7 @@ hardware capacities, and must exhibit the data-handling signature that
 Table III assigns to its dataflow.
 """
 
+import hashlib
 import math
 
 import pytest
@@ -251,3 +252,40 @@ class TestThinning:
         thinned = thin_candidates(values, limit=6)
         assert len(thinned) <= 6
         assert thinned[0] == 1 and thinned[-1] == 100
+
+
+#: Layers whose candidate spaces are pinned below: dense conv, FC,
+#: depthwise (grouped) and dilated, on a 168-PE equal-area chip.
+GOLDEN_LAYERS = (
+    conv_layer("CONV2", H=31, R=5, E=27, C=48, M=256, U=1, N=4),
+    fc_layer("FC1", C=256, M=4096, R=6, N=4),
+    conv_layer("DW", H=16, R=3, E=14, C=32, M=32, N=2, groups=32),
+    conv_layer("DIL", H=18, R=3, E=14, C=16, M=32, N=2, dilation=2))
+
+#: Each built-in's candidate count over GOLDEN_LAYERS and the first 16
+#: hex digits of the SHA-256 of every candidate's ``params``, in yield
+#: order.  A built-in's scalar generator walks the same fold plan its
+#: array enumerator evaluates, so the vector/scalar parity suites cannot
+#: see a changed tiling loop; this table does.  A deliberate change to a
+#: mapping space updates its row.
+GOLDEN_SPACES = {
+    "RS": (12293, "e5d16d966bc5faf7"),
+    "WS": (35, "d6d9d724cbe4db33"),
+    "OSA": (351, "99d9e403d9319936"),
+    "OSB": (338, "bbdacc94bc0bbaf3"),
+    "OSC": (124, "52121a517c8c9b0d"),
+    "NLR": (92, "0a0332f0dc4bd4c3"),
+}
+
+
+@pytest.mark.parametrize("name", list(GOLDEN_SPACES))
+def test_candidate_space_is_pinned(name):
+    dataflow = DATAFLOWS[name]
+    hw = hw_for(name, 168)
+    digest = hashlib.sha256()
+    count = 0
+    for layer in GOLDEN_LAYERS:
+        params = [m.params for m in dataflow.enumerate_mappings(layer, hw)]
+        count += len(params)
+        digest.update(repr(params).encode())
+    assert (count, digest.hexdigest()[:16]) == GOLDEN_SPACES[name]

@@ -23,7 +23,7 @@ from repro.analysis.sweep import (
 from repro.api import ResultSet, Scenario, Session
 from repro.arch.hardware import HardwareConfig
 from repro.arch.storage import allocate_storage
-from repro.dataflows.no_local_reuse import NoLocalReuse
+from repro.dataflows.base import Dataflow
 from repro.dataflows.registry import DATAFLOWS
 from repro.dataflows.row_stationary import RowStationary
 from repro.energy.model import (
@@ -47,6 +47,8 @@ from repro.nn.layer import conv_layer
 from repro.nn.networks import alexnet_conv_layers, alexnet_fc_layers
 from repro.registry import register_dataflow
 from repro.store import ExperimentStore
+
+from parity import no_degradation
 
 BATCH = 2
 PES = 256
@@ -658,23 +660,9 @@ REUSE_SPACE = dict(
 REUSE_CHUNK = 32
 
 
-class _UnsplitNLR(NoLocalReuse):
-    """NLR with a third-party-style block: the buffer in its mask and
-    no ``demand``, so no search may reuse it."""
-
-    name = "NLR-UNSPLIT"
-
-    def dense_candidate_arrays(self, layer, hw):
-        block = super().dense_candidate_arrays(layer, hw)
-        return replace(block, mask=block.feasible(hw.buffer_words),
-                       demand=None)
-
-
 @pytest.fixture
 def enumerations(monkeypatch):
     """(dataflow, hardware) of every candidate-block enumeration."""
-    from repro.dataflows.base import Dataflow
-
     monkeypatch.delenv("REPRO_KERNEL", raising=False)
     calls = []
     enumerate_arrays = Dataflow.enumerate_candidate_arrays
@@ -751,22 +739,6 @@ class TestEnumerationReuse:
         assert first == [seed_evaluate_network(job.dataflow, job.layers,
                                                job.hardware)
                          for job in jobs]
-
-    def test_block_without_demand_is_enumerated_per_point(
-            self, enumerations, searches, monkeypatch):
-        from repro.dse import DesignSpace
-        from repro.registry import dataflow_registry
-
-        register_dataflow(_UnsplitNLR())
-        try:
-            space = DesignSpace(dataflows=("NLR-UNSPLIT",), **REUSE_SPACE)
-            pareto = explore_serial(space)
-            assert pareto.num_evaluated == len(searches) == 36
-            assert len(enumerations) == 36
-            monkeypatch.setenv("REPRO_KERNEL", "scalar")
-            assert tuple(explore_serial(space)) == tuple(pareto)
-        finally:
-            dataflow_registry.remove("NLR-UNSPLIT")
 
 
 # ----------------------------------------------------------------------
@@ -849,23 +821,6 @@ class TestBatchedSearches:
         assert answer(vgg16_cell("OSB")) == first
         assert len(enumerations) == len(scorings) == 2
 
-    def test_a_single_layer_enumerator_searches_one_layer_at_a_time(
-            self, enumerations, searches, monkeypatch):
-        """A dataflow overriding only ``dense_candidate_arrays`` is a
-        batch of one per search, through its own override."""
-        from repro.registry import dataflow_registry
-
-        register_dataflow(_UnsplitNLR())
-        try:
-            rows = answer(vgg16_cell("NLR-UNSPLIT"))
-            assert len(searches) == len(enumerations) == 12
-            monkeypatch.setenv("REPRO_KERNEL", "scalar")
-            assert answer(vgg16_cell("NLR-UNSPLIT")) == rows
-        finally:
-            dataflow_registry.remove("NLR-UNSPLIT")
-        for row, vector in zip(rows, answer(vgg16_cell("NLR"))):
-            assert row["energy_per_op"] == vector["energy_per_op"]
-
     def test_the_scalar_kernel_consults_no_enumerator(
             self, enumerations, scorings, searches, monkeypatch):
         monkeypatch.setenv("REPRO_KERNEL", "scalar")
@@ -873,3 +828,58 @@ class TestBatchedSearches:
         answer(vgg16_cell("OSA"))
         assert len(searches) == 24
         assert enumerations == [] and scorings == []
+
+
+# ----------------------------------------------------------------------
+# The contract a third-party dataflow keeps: enumerate_dense alone.
+# ----------------------------------------------------------------------
+
+
+class _ScalarOnlyNLR(Dataflow):
+    """A third-party dataflow: NLR's mapping space through
+    ``enumerate_dense`` alone, with no array enumerator."""
+
+    name = "NLR-SCALAR-ONLY"
+
+    def enumerate_dense(self, layer, hw):
+        return DATAFLOWS["NLR"].enumerate_dense(layer, hw)
+
+
+@pytest.fixture
+def scalar_only():
+    """``_ScalarOnlyNLR`` registered under its own name for one test."""
+    from repro.registry import dataflow_registry
+
+    register_dataflow(_ScalarOnlyNLR())
+    try:
+        yield _ScalarOnlyNLR.name
+    finally:
+        dataflow_registry.remove(_ScalarOnlyNLR.name)
+
+
+class TestThirdPartyDataflow:
+    def test_enumerate_dense_alone_searches_on_the_scalar_path(
+            self, scalar_only, scorings, searches, monkeypatch):
+        """Each search falls back to the scalar path (no kernel pass,
+        no degradation) and answers what the forced scalar kernel and
+        the built-in NLR answer."""
+        from repro.dse import DesignSpace
+
+        space = DesignSpace(dataflows=(scalar_only,), **REUSE_SPACE)
+        with no_degradation(scalar_only):
+            rows = answer(vgg16_cell(scalar_only))
+            pareto = explore_serial(space).to_dicts(include_dominated=True)
+        assert len(searches) == 12 + len(pareto) and len(pareto) == 36
+        assert scorings == []
+        monkeypatch.setenv("REPRO_KERNEL", "scalar")
+        assert answer(vgg16_cell(scalar_only)) == rows
+        assert explore_serial(space).to_dicts(include_dominated=True) == \
+            pareto
+        monkeypatch.delenv("REPRO_KERNEL")
+        builtin = answer(vgg16_cell("NLR"))
+        assert [row["energy_per_op"] for row in rows] == \
+            [row["energy_per_op"] for row in builtin]
+        builtin_space = DesignSpace(dataflows=("NLR",), **REUSE_SPACE)
+        assert [point["energy_per_op"] for point in pareto] == \
+            [point["energy_per_op"] for point in
+             explore_serial(builtin_space).to_dicts(include_dominated=True)]

@@ -54,7 +54,7 @@ def _search_both(monkeypatch, dataflow, layer, hw, objective,
     monkeypatch.setenv("REPRO_KERNEL", "scalar")
     scalar = optimize_mapping(dataflow, layer, hw, objective=objective,
                               tie_tolerance=tie_tolerance)
-    monkeypatch.setenv("REPRO_KERNEL", "vector")
+    monkeypatch.setenv("REPRO_KERNEL", "auto")
     with no_degradation(f"{dataflow.name}/{layer.name}/{objective}"):
         vector = optimize_mapping(dataflow, layer, hw, objective=objective,
                                   tie_tolerance=tie_tolerance)
@@ -126,7 +126,7 @@ class TestDispatchRules:
 
         objective_registry.add("rf-pressure", rf_pressure)
         try:
-            monkeypatch.setenv("REPRO_KERNEL", "vector")
+            monkeypatch.setenv("REPRO_KERNEL", "auto")
             result = optimize_mapping(DATAFLOWS["RS"], LAYERS[0],
                                       HardwareConfig.eyeriss_paper_baseline(),
                                       objective="rf-pressure")
@@ -148,7 +148,7 @@ class TestDispatchRules:
 
         objective_registry.add("energy", my_energy, replace=True)
         try:
-            monkeypatch.setenv("REPRO_KERNEL", "vector")
+            monkeypatch.setenv("REPRO_KERNEL", "auto")
             result = optimize_mapping(DATAFLOWS["NLR"], LAYERS[0],
                                       HardwareConfig.eyeriss_paper_baseline(),
                                       objective="energy")
@@ -175,9 +175,10 @@ class TestDispatchRules:
         assert blocks == []  # the array enumerator was never consulted
 
     def test_unknown_kernel_mode_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL", "simd")
-        with pytest.raises(ValueError, match="REPRO_KERNEL"):
-            kernel_mode()
+        for mode in ("simd", "vector"):
+            monkeypatch.setenv("REPRO_KERNEL", mode)
+            with pytest.raises(ValueError, match="REPRO_KERNEL"):
+                kernel_mode()
 
     def test_default_mode_is_auto(self, monkeypatch):
         monkeypatch.delenv("REPRO_KERNEL", raising=False)

@@ -147,7 +147,7 @@ def _store_warm_sweep(pe_counts, rf_choices):
     from repro.engine import EngineConfig, EvaluationEngine
     from repro.store import ExperimentStore, StoreTierCache
 
-    os.environ["REPRO_KERNEL"] = "vector"
+    os.environ["REPRO_KERNEL"] = "auto"
     with tempfile.TemporaryDirectory() as tmp:
         with ExperimentStore(Path(tmp) / "bench-store.db") as store:
             cold = EvaluationEngine(EngineConfig(parallel=False),
@@ -240,7 +240,7 @@ def _modern_workloads_bench(num_pes: int = 256) -> dict:
     from repro.analysis.modern import (modern_workload_comparison,
                                        transformer_seq_sweep)
 
-    os.environ["REPRO_KERNEL"] = "vector"
+    os.environ["REPRO_KERNEL"] = "auto"
     start = time.perf_counter()
     results = modern_workload_comparison(num_pes=num_pes)
     sweep = transformer_seq_sweep(num_pes=num_pes)
@@ -340,9 +340,9 @@ def run_benchmarks(pe_counts, rf_choices, dse_sample=2000,
     scalar_points, scalar_s, _ = _run_sweep(
         pe_counts, rf_choices, kernel="scalar", parallel=False)
     vector_points, vector_s, engine = _run_sweep(
-        pe_counts, rf_choices, kernel="vector", parallel=False)
+        pe_counts, rf_choices, kernel="auto", parallel=False)
     _, warm_s, _ = _run_sweep(
-        pe_counts, rf_choices, kernel="vector", parallel=False,
+        pe_counts, rf_choices, kernel="auto", parallel=False,
         engine=engine)
     warm_stats = engine.cache.stats
     # A pool wider than the machine only measures IPC overhead; skip
@@ -352,7 +352,7 @@ def run_benchmarks(pe_counts, rf_choices, dse_sample=2000,
     parallel_points = scalar_points
     if not parallel_skipped:
         parallel_points, parallel_s, parallel_engine = _run_sweep(
-            pe_counts, rf_choices, kernel="vector", parallel=True)
+            pe_counts, rf_choices, kernel="auto", parallel=True)
         parallel_engine.close()
     store_points, store_warm_s, store_stats = _store_warm_sweep(
         pe_counts, rf_choices)
