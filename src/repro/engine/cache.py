@@ -31,7 +31,7 @@ import os
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Dict, Iterable, Optional
 
 from repro.arch.hardware import HardwareConfig
 from repro.nn.layer import LayerShape
@@ -152,13 +152,35 @@ class EvaluationCache:
 
     def get(self, key: CacheKey):
         """Cached value for ``key``, or :data:`MISSING` (counts a miss)."""
+        return self.get_many((key,)).get(key, MISSING)
+
+    def get_many(self, keys: Iterable[CacheKey]
+                 ) -> Dict[CacheKey, Optional["LayerEvaluation"]]:
+        """The cached values of distinct ``keys``, as ``{key: value}``.
+
+        A key absent from the answer is not cached.  Each key counts a
+        hit or a miss, as one :meth:`get` per key would; the engine
+        asks once per batch.
+        """
         with self._lock:
-            if key in self._data:
-                self._hits += 1
-                self._data.move_to_end(key)
-                return self._data[key]
-            self._misses += 1
-            return MISSING
+            found, absent = self._lookup_locked(keys)
+            self._misses += len(absent)
+        return found
+
+    def _lookup_locked(self, keys: Iterable[CacheKey]
+                       ) -> "tuple[dict, list]":
+        """``keys`` split into LRU hits (refreshed and counted) and the
+        keys the LRU lacks; called under the lock."""
+        found, absent = {}, []
+        data = self._data
+        for key in keys:
+            if key in data:
+                data.move_to_end(key)
+                found[key] = data[key]
+            else:
+                absent.append(key)
+        self._hits += len(found)
+        return found, absent
 
     def put(self, key: CacheKey,
             value: Optional["LayerEvaluation"]) -> None:

@@ -606,32 +606,35 @@ class EvaluationEngine:
                memo: SearchMemo) -> Iterator[Tuple[int, NetworkEvaluation]]:
         """Answer one batch of ``(index, job)`` cells: the engine's loop.
 
-        Each distinct key is looked up once; misses that share a search
-        problem form one :class:`_Group`, searched once however many
-        cells ask for it.  Fully cached cells are yielded at once, every
-        other cell as soon as the last group it waits on completes.  The
-        first failed row is raised once every chunk is in -- and cached,
-        the failed rows' finished siblings included.  ``memo`` is the
-        call's search memo, for the searches run inline.
+        The batch's distinct keys are looked up with one
+        ``cache.get_many``; misses that share a search problem form one
+        :class:`_Group`, searched once however many cells ask for it.
+        Fully cached cells are yielded at once, every other cell as soon
+        as the last group it waits on completes.  The first failed row
+        is raised once every chunk is in -- and cached, the failed rows'
+        finished siblings included.  ``memo`` is the call's search memo,
+        for the searches run inline.
         """
-        known: Dict[CacheKey, object] = {}  # evaluation, or its _Group
+        cell_keys = [(_Cell(index, job),
+                      [CacheKey(job.dataflow.name, layer, job.hardware,
+                                job.objective) for layer in job.layers])
+                     for index, job in cells]
+        # Evaluation, or after the lookup its miss's _Group.
+        known: Dict[CacheKey, object] = self.cache.get_many(dict.fromkeys(
+            key for _, keys in cell_keys for key in keys))
         groups: Dict[tuple, _Group] = {}
         misses = 0
-        for index, job in cells:
-            cell = _Cell(index, job)
-            for layer in job.layers:
-                key = CacheKey(job.dataflow.name, layer, job.hardware,
-                               job.objective)
+        for cell, keys in cell_keys:
+            job = cell.job
+            for key in keys:
                 value = known.get(key, MISSING)
                 if value is MISSING:
-                    value = self.cache.get(key)
-                    if value is MISSING:
-                        misses += 1
-                        problem = _search_problem(key)
-                        value = groups.get(problem)
-                        if value is None:
-                            value = groups[problem] = _Group(job.dataflow, key)
-                        value.keys.append(key)
+                    misses += 1
+                    problem = _search_problem(key)
+                    value = groups.get(problem)
+                    if value is None:
+                        value = groups[problem] = _Group(job.dataflow, key)
+                    value.keys.append(key)
                     known[key] = value
                 if isinstance(value, _Group):
                     value.waiters.append((cell, len(cell.evaluations)))

@@ -110,18 +110,6 @@ class LayerShape:
                     f"(got H={self.H}, R={self.R}, E={self.E}, U={self.U})"
                 )
 
-    def __setstate__(self, state: dict) -> None:
-        # Shapes pickled before the groups / dilation fields existed (an
-        # old store blob) lack both; they load as the paper's implicit
-        # dense, undilated defaults.  Set item by item: ``dict.update``
-        # from the pickled dict would copy its table and give every
-        # unpickled shape a larger dict.
-        attributes = self.__dict__
-        for name, value in state.items():
-            attributes[name] = value
-        attributes.setdefault("groups", 1)
-        attributes.setdefault("dilation", 1)
-
     # ------------------------------------------------------------------
     # Derived counts used throughout the energy analysis.
     # ------------------------------------------------------------------

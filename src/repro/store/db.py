@@ -10,14 +10,20 @@ database:
   present), the schema version that wrote it, and timestamps.
 * ``dataflows`` / ``objectives`` / ``layers`` / ``hardware`` -- interned
   dimension tables, so a layer shape or hardware point shared by a
-  million cells is stored exactly once.  Hardware rows keep both the
-  queryable scalar columns (PEs, geometry, RF, buffer) and a pickled
-  :class:`~repro.arch.hardware.HardwareConfig` blob for exact
-  rehydration (the config embeds its EnergyCosts table).
+  million cells is stored exactly once.  A hardware row is known by its
+  fingerprint, a content hash of the whole
+  :class:`~repro.arch.hardware.HardwareConfig` (EnergyCosts included),
+  and keeps only the queryable scalar columns (PEs, geometry, RF,
+  buffer): the config itself is never rebuilt from the store.
 * ``evaluations`` -- the layer-level system of record, unique on the
   engine's cache identity (dataflow, layer, hardware, objective).  This
   is the table the :class:`~repro.store.tier.StoreTierCache` warm tier
-  reads and writes: a re-run of a recorded sweep rescores nothing.
+  reads and writes: a re-run of a recorded sweep rescores nothing.  A
+  row holds the evaluation as typed columns -- the mapping's reuse
+  splits, active PEs, MACs and ``params`` (as JSON) and the energy
+  breakdown -- and a lookup rebuilds it through the dataclass
+  constructors, with the layer and cost table its key already carries.
+  Nothing read from the file is unpickled.
 * ``cells`` -- the result-row level: one row per evaluated grid cell or
   DSE candidate, tied to its run, with every scalar metric as a REAL
   column.  SQLite REALs are IEEE doubles, so metric values round-trip
@@ -43,18 +49,19 @@ import hashlib
 import json
 import logging
 import os
-import pickle
 import sqlite3
 import subprocess
 import threading
 import time
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import lru_cache
+from operator import attrgetter
 from pathlib import Path
 from typing import (
-    TYPE_CHECKING,
     Callable,
     Dict,
+    Iterable,
     List,
     Optional,
     Sequence,
@@ -62,15 +69,20 @@ from typing import (
 )
 
 from repro import faults
-from repro.engine.cache import MISSING, CacheKey
 from repro.arch.hardware import HardwareConfig
-from repro.nn.layer import LayerShape, LayerType
-
-if TYPE_CHECKING:  # pragma: no cover - only used as a type
-    from repro.energy.model import LayerEvaluation
+from repro.energy.breakdown import (
+    EnergyBreakdown,
+    LevelBreakdown,
+    TypeBreakdown,
+)
+from repro.energy.model import LayerEvaluation
+from repro.engine.cache import MISSING, CacheKey
+from repro.mapping.mapping import Mapping
+from repro.mapping.reuse import AccumSplit, ReuseSplit
+from repro.nn.layer import LayerShape
 
 #: Current schema version, written into ``store_meta`` on creation.
-SCHEMA_VERSION = 4
+SCHEMA_VERSION = 5
 
 #: Magic tag in ``store_meta`` distinguishing an experiment store from
 #: any other SQLite file.
@@ -126,9 +138,14 @@ def current_commit(cwd: Optional[Path] = None) -> str:
 def resolve_commit(ref: str, cwd: Optional[Path] = None) -> str:
     """Resolve a git ref (``HEAD``, a branch, a short SHA) to a full SHA.
 
-    Outside a checkout the ref is returned verbatim, so stores recorded
-    elsewhere can still be diffed by their literal recorded SHAs.
+    ``HEAD`` resolves as :func:`current_commit` stamps a new run, so
+    outside a checkout it names the ``"unknown"`` runs recorded there.
+    Any other ref that git cannot resolve is returned verbatim, so
+    stores recorded elsewhere can still be diffed by their literal
+    recorded SHAs.
     """
+    if ref == "HEAD":
+        return current_commit(cwd)
     return _git(["rev-parse", ref], cwd) or ref
 
 
@@ -159,6 +176,45 @@ def run_provenance() -> Tuple[str, Optional[str]]:
 # ----------------------------------------------------------------------
 # Schema DDL and migrations.
 # ----------------------------------------------------------------------
+
+_REUSE_FIELDS = ("unique_values", "a", "b", "c", "d", "total_reuse")
+_ACCUM_FIELDS = ("unique_values", "a", "b", "c", "d", "total_accumulations")
+_LEVEL_FIELDS = ("alu", "dram", "buffer", "array", "rf")
+_TYPE_FIELDS = ("ifmaps", "weights", "psums")
+
+#: The typed columns of an ``evaluations`` row after ``feasible``, in
+#: the order :func:`_evaluation_row` writes them and
+#: :func:`_evaluation_from_row` reads them: the mapping's dataflow (not
+#: always the key's: a dataflow may answer with another's mappings),
+#: active PEs and MACs, the ifmap, filter and psum splits, ``params``
+#: as JSON, then the energy breakdown by level and by data type.
+_TYPED_COLUMNS = (
+    "mapping_dataflow", "active_pes", "macs",
+    *(f"ifmap_{name}" for name in _REUSE_FIELDS),
+    *(f"filter_{name}" for name in _REUSE_FIELDS),
+    *(f"psum_{name}" for name in _ACCUM_FIELDS),
+    "params",
+    *(f"energy_{name}" for name in _LEVEL_FIELDS + _TYPE_FIELDS),
+)
+
+#: The v5 ``evaluations`` table.  The numeric columns declare no type,
+#: so SQLite applies no affinity and every value reads back as the
+#: Python type it was written with: a split factor is an int in some
+#: splits and a float in others, and a REAL or NUMERIC column would
+#: turn ``13`` into ``13.0`` or back, changing answers and digests.
+_EVALUATIONS_DDL = """CREATE TABLE IF NOT EXISTS evaluations (
+    evaluation_id INTEGER PRIMARY KEY,
+    dataflow_id   INTEGER NOT NULL REFERENCES dataflows(dataflow_id),
+    layer_id      INTEGER NOT NULL REFERENCES layers(layer_id),
+    hardware_id   INTEGER NOT NULL REFERENCES hardware(hardware_id),
+    objective_id  INTEGER NOT NULL REFERENCES objectives(objective_id),
+    feasible      INTEGER NOT NULL,
+    run_id        INTEGER REFERENCES runs(run_id),
+    """ + ",\n    ".join(
+        f"{name} TEXT" if name in ("mapping_dataflow", "params") else name
+        for name in _TYPED_COLUMNS) + """,
+    UNIQUE(dataflow_id, layer_id, hardware_id, objective_id)
+)"""
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS store_meta (
@@ -201,20 +257,9 @@ CREATE TABLE IF NOT EXISTS hardware (
     array_h         INTEGER NOT NULL,
     array_w         INTEGER NOT NULL,
     rf_bytes_per_pe INTEGER NOT NULL,
-    buffer_bytes    INTEGER NOT NULL,
-    config          BLOB NOT NULL
+    buffer_bytes    INTEGER NOT NULL
 );
-CREATE TABLE IF NOT EXISTS evaluations (
-    evaluation_id INTEGER PRIMARY KEY,
-    dataflow_id   INTEGER NOT NULL REFERENCES dataflows(dataflow_id),
-    layer_id      INTEGER NOT NULL REFERENCES layers(layer_id),
-    hardware_id   INTEGER NOT NULL REFERENCES hardware(hardware_id),
-    objective_id  INTEGER NOT NULL REFERENCES objectives(objective_id),
-    feasible      INTEGER NOT NULL,
-    evaluation    BLOB,
-    run_id        INTEGER REFERENCES runs(run_id),
-    UNIQUE(dataflow_id, layer_id, hardware_id, objective_id)
-);
+""" + _EVALUATIONS_DDL + """;
 CREATE TABLE IF NOT EXISTS cells (
     cell_id         INTEGER PRIMARY KEY AUTOINCREMENT,
     run_id          INTEGER NOT NULL REFERENCES runs(run_id),
@@ -331,9 +376,33 @@ def _migrate_v3_to_v4(conn: sqlite3.Connection) -> None:
     conn.execute("ALTER TABLE layers_v4 RENAME TO layers")
 
 
+def _migrate_v4_to_v5(conn: sqlite3.Connection) -> None:
+    """v4 -> v5: typed evaluation rows; hardware rows lose their pickle.
+
+    The v4 ``evaluations`` table, one pickled ``LayerEvaluation`` per
+    row, is set aside whole as ``evaluations_v4``: its rows stay in the
+    file for SQL to read but never answer a warm lookup, since this
+    build unpickles nothing, so a v4 store's first warm run recomputes.
+    An empty typed table takes its place, so a recomputed key's row
+    lands beside its legacy row instead of being ignored as a
+    duplicate.  ``hardware.config``, a pickled config that nothing
+    read, is dropped.  Each step first checks the table's shape, so a
+    file whose version marker is older than its tables migrates too.
+    """
+    def columns(table: str) -> set:
+        return {row[1] for row in conn.execute(
+            f"PRAGMA table_info({table})")}
+
+    if "evaluation" in columns("evaluations"):
+        conn.execute("ALTER TABLE evaluations RENAME TO evaluations_v4")
+        conn.execute(_EVALUATIONS_DDL)
+    if "config" in columns("hardware"):
+        conn.execute("ALTER TABLE hardware DROP COLUMN config")
+
+
 #: Forward migrations, keyed by the version they upgrade *from*.
 _MIGRATIONS = {1: _migrate_v1_to_v2, 2: _migrate_v2_to_v3,
-               3: _migrate_v3_to_v4}
+               3: _migrate_v3_to_v4, 4: _migrate_v4_to_v5}
 
 
 # ----------------------------------------------------------------------
@@ -436,8 +505,68 @@ def hardware_fingerprint(hw: HardwareConfig) -> str:
     return hashlib.sha256(repr(hw).encode("utf-8")).hexdigest()
 
 
-def _pickle(value) -> bytes:
-    return pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
+_REUSE = attrgetter(*_REUSE_FIELDS)
+_ACCUM = attrgetter(*_ACCUM_FIELDS)
+_LEVELS = attrgetter(*_LEVEL_FIELDS)
+_TYPES = attrgetter(*_TYPE_FIELDS)
+
+#: Python types a stored mapping's ``params`` value may have: the ones
+#: JSON reads back as the type that was written.
+_PARAM_TYPES = (str, int, float, bool, type(None))
+
+#: The identity columns of one key in a batched lookup's ``VALUES``.
+_KEY_COLUMNS = ("i", "dataflow", "objective", "fingerprint", "name",
+                "type", "H", "R", "E", "C", "M", "U", "N", "groups",
+                "dilation")
+
+
+def _evaluation_row(key: CacheKey,
+                    evaluation: Optional[LayerEvaluation]) -> tuple:
+    """``(feasible, *typed columns)`` of one evaluation under its key.
+
+    The layer and cost table are not stored: a lookup takes them from
+    its key, so an evaluation recorded under a key must carry that
+    key's layer and cost table (ValueError otherwise).  ``params``
+    values must be JSON scalars (TypeError otherwise), which JSON reads
+    back as the types they were written with.
+    """
+    if evaluation is None:
+        return (0,) + (None,) * len(_TYPED_COLUMNS)
+    layer, costs = evaluation.layer, evaluation.costs
+    if (layer is not key.layer and layer != key.layer) or (
+            costs is not key.hardware.costs and costs != key.hardware.costs):
+        raise ValueError(
+            f"an evaluation of {layer.name} recorded under the key of "
+            f"{key.layer.name} must carry that key's layer and cost table")
+    mapping = evaluation.mapping
+    for name, value in mapping.params.items():
+        if type(value) not in _PARAM_TYPES:
+            raise TypeError(
+                f"{mapping.dataflow} mapping param {name}={value!r} is a "
+                f"{type(value).__name__}; the store records str, int, "
+                f"float, bool and None params")
+    breakdown = evaluation.breakdown
+    return (1, mapping.dataflow, mapping.active_pes, mapping.macs,
+            *_REUSE(mapping.ifmap), *_REUSE(mapping.filter),
+            *_ACCUM(mapping.psum), json.dumps(mapping.params),
+            *_LEVELS(breakdown.by_level), *_TYPES(breakdown.by_type))
+
+
+def _evaluation_from_row(key: CacheKey,
+                         row: Sequence) -> Optional[LayerEvaluation]:
+    """Rebuild the evaluation of one :func:`_evaluation_row` row.
+
+    Every value passes the checks of the dataclass it lands in, so a
+    row that breaks them raises ValueError or TypeError here.
+    """
+    if not row[0]:
+        return None
+    mapping = Mapping(row[1], ReuseSplit(*row[4:10]),
+                      ReuseSplit(*row[10:16]), AccumSplit(*row[16:22]),
+                      row[2], row[3], json.loads(row[22]))
+    breakdown = EnergyBreakdown(LevelBreakdown(*row[23:28]),
+                                TypeBreakdown(*row[28:31]))
+    return LayerEvaluation(key.layer, mapping, breakdown, key.hardware.costs)
 
 
 class ExperimentStore:
@@ -637,8 +766,7 @@ class ExperimentStore:
             extra=lambda: {"num_pes": hw.num_pes, "array_h": hw.array_h,
                            "array_w": hw.array_w,
                            "rf_bytes_per_pe": hw.rf_bytes_per_pe,
-                           "buffer_bytes": hw.buffer_bytes,
-                           "config": _pickle(hw)})
+                           "buffer_bytes": hw.buffer_bytes})
 
     def _ids(self, conn: sqlite3.Connection) -> Callable[[str, object], int]:
         """An id lookup that interns each distinct value once.
@@ -753,8 +881,16 @@ class ExperimentStore:
 
     # -- the layer-evaluation system of record --------------------------
 
+    #: The row an evaluation lookup reads: ``feasible``, then the
+    #: typed columns.
+    _EVAL_COLUMNS = ", ".join(
+        f"e.{name}" for name in ("feasible",) + _TYPED_COLUMNS)
+    #: One key's lookup: the plain equality join, which a lone miss
+    #: (every lookup of a fresh recording store) pays least for.  It
+    #: reads the row id alone, as each result column costs every
+    #: execute, hit or miss; a hit then reads :data:`_EVAL_ROW`.
     _EVAL_LOOKUP = """
-        SELECT e.feasible, e.evaluation
+        SELECT e.evaluation_id
         FROM evaluations e
         JOIN dataflows d ON d.dataflow_id = e.dataflow_id
         JOIN objectives o ON o.objective_id = e.objective_id
@@ -765,6 +901,33 @@ class ExperimentStore:
           AND l.C=? AND l.M=? AND l.U=? AND l.N=? AND l.groups=?
           AND l.dilation=?
     """
+    _EVAL_ROW = (f"SELECT {_EVAL_COLUMNS} FROM evaluations e"
+                 f" WHERE e.evaluation_id=?")
+
+    @staticmethod
+    @lru_cache(maxsize=64)
+    def _batch_lookup(count: int) -> str:
+        """Many keys' lookup, the keys bound as ``count`` VALUES rows.
+
+        ``CROSS JOIN`` keeps SQLite's join order as written: one pass
+        over the keys, each resolved through the unique indexes of the
+        dimension tables and then of ``evaluations``.
+        """
+        marks = "(" + ", ".join("?" * len(_KEY_COLUMNS)) + ")"
+        return (
+            f"WITH k({', '.join(_KEY_COLUMNS)}) AS"
+            f" (VALUES {', '.join([marks] * count)})"
+            f" SELECT k.i, {ExperimentStore._EVAL_COLUMNS} FROM k"
+            " CROSS JOIN dataflows d ON d.name = k.dataflow"
+            " CROSS JOIN objectives o ON o.name = k.objective"
+            " CROSS JOIN hardware h ON h.fingerprint = k.fingerprint"
+            " CROSS JOIN layers l ON l.name = k.name AND l.type = k.type"
+            " AND l.H = k.H AND l.R = k.R AND l.E = k.E AND l.C = k.C"
+            " AND l.M = k.M AND l.U = k.U AND l.N = k.N"
+            " AND l.groups = k.groups AND l.dilation = k.dilation"
+            " CROSS JOIN evaluations e ON e.dataflow_id = d.dataflow_id"
+            " AND e.layer_id = l.layer_id AND e.hardware_id = h.hardware_id"
+            " AND e.objective_id = o.objective_id")
 
     def _fingerprint(self, hw: HardwareConfig) -> str:
         """:func:`hardware_fingerprint`, reused while the point repeats.
@@ -779,33 +942,69 @@ class ExperimentStore:
         self._last_hardware = (weakref.ref(hw), fingerprint)
         return fingerprint
 
+    def _key_args(self, key: CacheKey) -> tuple:
+        """A key's identity values, in :data:`_KEY_COLUMNS` order
+        (without ``i``)."""
+        layer = key.layer
+        return (key.dataflow, key.objective, self._fingerprint(key.hardware),
+                layer.name, layer.layer_type.value, layer.H, layer.R,
+                layer.E, layer.C, layer.M, layer.U, layer.N, layer.groups,
+                layer.dilation)
+
+    def _decode(self, key: CacheKey,
+                row: Sequence) -> Optional[LayerEvaluation]:
+        try:
+            return _evaluation_from_row(key, row)
+        except (TypeError, ValueError) as exc:
+            raise StoreFormatError(
+                f"{self.path} holds a corrupt evaluation row for "
+                f"{key.dataflow}/{key.layer.name}: {exc}") from exc
+
     def get_evaluation(self, key: CacheKey):
         """The recorded evaluation under an engine cache key.
 
-        Returns the rehydrated
+        Returns the rebuilt
         :class:`~repro.energy.model.LayerEvaluation` (or None for a
         recorded-infeasible problem), or
         :data:`~repro.engine.cache.MISSING` when the store has never
-        seen the key.  A corrupt blob raises :class:`StoreFormatError`.
+        seen the key.  A corrupt row raises :class:`StoreFormatError`.
         """
-        layer = key.layer
-        row = self._reader().execute(self._EVAL_LOOKUP, (
-            key.dataflow, key.objective,
-            self._fingerprint(key.hardware),
-            layer.name, layer.layer_type.value, layer.H, layer.R,
-            layer.E, layer.C, layer.M, layer.U, layer.N, layer.groups,
-            layer.dilation)).fetchone()
-        if row is None:
-            return MISSING
-        feasible, blob = row
-        if not feasible:
-            return None
-        try:
-            return pickle.loads(blob)
-        except Exception as exc:
-            raise StoreFormatError(
-                f"{self.path} holds a corrupt evaluation blob for "
-                f"{key.dataflow}/{layer.name}: {exc}") from exc
+        return self.get_evaluations((key,)).get(key, MISSING)
+
+    def get_evaluations(self, keys: Iterable[CacheKey]
+                        ) -> Dict[CacheKey, Optional[LayerEvaluation]]:
+        """The recorded evaluations of many keys, in one read.
+
+        Returns ``{key: evaluation or None}`` for each key the store
+        has seen; keys it has never seen are absent.  A lone key reads
+        through the plain equality join; more keys bind as one
+        statement's ``VALUES`` rows, split across statements only where
+        they exceed SQLite's host-parameter limit.  A corrupt row
+        raises :class:`StoreFormatError`.
+        """
+        keys = list(keys)
+        conn = self._reader()
+        found: Dict[CacheKey, Optional[LayerEvaluation]] = {}
+        if len(keys) == 1:
+            (key,) = keys
+            hit = conn.execute(self._EVAL_LOOKUP,
+                               self._key_args(key)).fetchone()
+            if hit is not None:
+                row = conn.execute(self._EVAL_ROW, hit).fetchone()
+                found[key] = self._decode(key, row)
+            return found
+        per_statement = max(1, conn.getlimit(
+            sqlite3.SQLITE_LIMIT_VARIABLE_NUMBER) // len(_KEY_COLUMNS))
+        for start in range(0, len(keys), per_statement):
+            chunk = keys[start:start + per_statement]
+            args: list = []
+            for index, key in enumerate(chunk):
+                args.append(index)
+                args.extend(self._key_args(key))
+            for row in conn.execute(self._batch_lookup(len(chunk)), args):
+                key = chunk[row[0]]
+                found[key] = self._decode(key, row[1:])
+        return found
 
     def put_evaluations(self, items, run_id: Optional[int] = None) -> int:
         """Record ``(CacheKey, LayerEvaluation | None)`` pairs.
@@ -814,25 +1013,25 @@ class ExperimentStore:
         distinct dimension value once.  The table is unique on the
         cache identity; keys the store has already seen are left
         untouched (evaluations are pure functions of their key, so the
-        first write is as good as any).  Returns the number of newly
-        recorded keys.
+        first write is as good as any).  Each evaluation is recorded as
+        typed columns (see :func:`_evaluation_row` for what it must
+        carry).  Returns the number of newly recorded keys.
         """
-        items = [(key, None if value is None else _pickle(value))
-                 for key, value in items]
+        items = [(key, _evaluation_row(key, value)) for key, value in items]
         if not items:
             return 0
+        columns = ("dataflow_id", "layer_id", "hardware_id", "objective_id",
+                   "run_id", "feasible") + _TYPED_COLUMNS
+        sql = (f"INSERT OR IGNORE INTO evaluations ({', '.join(columns)})"
+               f" VALUES ({', '.join('?' * len(columns))})")
 
         def body(conn: sqlite3.Connection) -> int:
             ids = self._ids(conn)
-            return conn.executemany(
-                "INSERT OR IGNORE INTO evaluations (dataflow_id,"
-                " layer_id, hardware_id, objective_id, feasible,"
-                " evaluation, run_id) VALUES (?, ?, ?, ?, ?, ?, ?)",
-                [(ids("dataflow", key.dataflow), ids("layer", key.layer),
-                  ids("hardware", key.hardware),
-                  ids("objective", key.objective),
-                  0 if blob is None else 1, blob, run_id)
-                 for key, blob in items]).rowcount
+            return conn.executemany(sql, [
+                (ids("dataflow", key.dataflow), ids("layer", key.layer),
+                 ids("hardware", key.hardware),
+                 ids("objective", key.objective), run_id, *row)
+                for key, row in items]).rowcount
         return self._write_txn(body)
 
     def evaluation_count(self) -> int:

@@ -204,19 +204,11 @@ class TestGroupsAndDilation:
         with pytest.raises(AttributeError):
             legacy.no_such_attribute
 
-    def test_legacy_pickle_loads_as_a_fresh_dense_shape(self):
-        """A shape pickled before groups/dilation existed loads with both
-        fields set to 1, equal to and hashing like a fresh shape."""
-        fresh = conv_layer("c", H=15, R=3, E=13, C=4, M=8)
-        legacy = object.__new__(LayerShape)
-        for key, value in fresh.__dict__.items():
-            if key not in ("groups", "dilation"):
-                object.__setattr__(legacy, key, value)
-        blob = pickle.dumps(legacy)
-        assert b"dilation" not in blob
-        loaded = pickle.loads(blob)
-        assert vars(loaded)["groups"] == 1 and vars(loaded)["dilation"] == 1
-        assert loaded == fresh and hash(loaded) == hash(fresh)
+    def test_grouped_dilated_shape_pickles_round_trip(self):
+        """Pool IPC ships shapes by pickle: a grouped, dilated shape
+        loads equal to, and hashing like, the shape that was sent."""
         grouped = conv_layer("g", H=19, R=3, E=15, C=8, M=8, groups=4,
                              dilation=2)
-        assert pickle.loads(pickle.dumps(grouped)) == grouped
+        loaded = pickle.loads(pickle.dumps(grouped))
+        assert loaded == grouped and hash(loaded) == hash(grouped)
+        assert vars(loaded) == vars(grouped)

@@ -842,3 +842,249 @@ class TestV3Migration:
         with recording_session(path) as session:
             rows = session.evaluate(grouped)
         assert len(rows) == 1
+
+
+# ----------------------------------------------------------------------
+# Typed evaluation rows (schema v5): exact round trips, batched reads,
+# no unpickling, and the v4 -> v5 migration.
+# ----------------------------------------------------------------------
+
+
+#: The v4 schema's two pickle-carrying tables, as v4 created them.
+V4_PICKLED_TABLES = """
+CREATE TABLE hardware (
+    hardware_id     INTEGER PRIMARY KEY,
+    fingerprint     TEXT UNIQUE NOT NULL,
+    num_pes         INTEGER NOT NULL,
+    array_h         INTEGER NOT NULL,
+    array_w         INTEGER NOT NULL,
+    rf_bytes_per_pe INTEGER NOT NULL,
+    buffer_bytes    INTEGER NOT NULL,
+    config          BLOB NOT NULL
+);
+CREATE TABLE evaluations (
+    evaluation_id INTEGER PRIMARY KEY,
+    dataflow_id   INTEGER NOT NULL REFERENCES dataflows(dataflow_id),
+    layer_id      INTEGER NOT NULL REFERENCES layers(layer_id),
+    hardware_id   INTEGER NOT NULL REFERENCES hardware(hardware_id),
+    objective_id  INTEGER NOT NULL REFERENCES objectives(objective_id),
+    feasible      INTEGER NOT NULL,
+    evaluation    BLOB,
+    run_id        INTEGER REFERENCES runs(run_id),
+    UNIQUE(dataflow_id, layer_id, hardware_id, objective_id)
+);
+"""
+
+
+def live_answers():
+    """``(key, live evaluation)`` for each of the six dataflows on a
+    dense, a grouped, a dilated and an FC layer, plus an infeasible key
+    and a key whose mappings carry another dataflow's name."""
+    from repro.arch.hardware import HardwareConfig
+    from repro.nn.layer import fc_layer
+    from repro.dataflows.registry import DATAFLOWS
+
+    layers = (conv_layer("D", H=16, R=3, E=14, C=8, M=16, N=2),
+              conv_layer("G", H=16, R=3, E=14, C=8, M=16, groups=4),
+              conv_layer("DL", H=16, R=3, E=12, C=8, M=16, dilation=2),
+              fc_layer("F", C=64, M=32, R=2, N=2))
+    hw = tiny_scenario().cells()[0].hardware
+    engine = EvaluationEngine(EngineConfig(parallel=False),
+                              EvaluationCache())
+    answers = []
+    for name in ("RS", "WS", "OSA", "OSB", "OSC", "NLR"):
+        for layer in layers:
+            answers.append((CacheKey(name, layer, hw, "energy"),
+                            engine.evaluate_layer(DATAFLOWS[name], layer,
+                                                  hw)))
+    conv1 = conv_layer("CONV1", H=227, R=11, E=55, C=3, M=96, U=4, N=64)
+    ws_hw = HardwareConfig.equal_area(256, DATAFLOWS["WS"].rf_bytes_per_pe)
+    answers.append((CacheKey("WS", conv1, ws_hw, "energy"),
+                    engine.evaluate_layer(DATAFLOWS["WS"], conv1, ws_hw)))
+    nlr_key, nlr = answers[-2]
+    answers.append((CacheKey("NLR-ALIAS", nlr_key.layer, hw, "energy"), nlr))
+    return answers
+
+
+class TestTypedRows:
+    def test_every_dataflow_and_layer_kind_round_trips_exactly(
+            self, tmp_path):
+        """``repr`` tells 13 from 13.0, so an answer read back from a
+        fresh handle, one key or all at once, is the live one to the
+        type of every value."""
+        answers = live_answers()
+        assert answers[-2][1] is None  # the infeasible key
+        assert answers[-1][1].mapping.dataflow == "NLR"
+        path = tmp_path / "s.db"
+        with ExperimentStore(path) as store:
+            assert store.put_evaluations(answers) == len(answers)
+        with ExperimentStore(path) as store:
+            for key, live in answers:
+                assert repr(store.get_evaluation(key)) == repr(live)
+            batched = store.get_evaluations(key for key, _ in answers)
+            assert [repr(batched[key]) for key, _ in answers] == \
+                [repr(live) for _, live in answers]
+        conn = sqlite3.connect(path)
+        try:
+            for table in ("evaluations", "hardware"):
+                columns = [row[1] for row in conn.execute(
+                    f"PRAGMA table_info({table})")]
+                blobs = conn.execute(
+                    f"SELECT COUNT(*) FROM {table} WHERE " + " OR ".join(
+                        f"typeof({name}) = 'blob'" for name in columns)
+                ).fetchone()[0]
+                assert blobs == 0 and "config" not in columns
+        finally:
+            conn.close()
+
+    def test_warm_pass_unpickles_nothing(self, tmp_path, monkeypatch):
+        import pickle
+
+        path = tmp_path / "exp.db"
+        scenario = two_layer_scenario()
+        with recording_session(path) as session:
+            live = session.evaluate(scenario)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the warm read path unpickled a value")
+
+        monkeypatch.setattr(pickle, "loads", refuse)
+        with Session(parallel=False, store=path) as session:
+            again = session.evaluate(scenario)
+            stats = session.cache_stats
+        assert stats.misses == 0 and stats.store_hits == len(
+            cell_keys(scenario.cells()))
+        assert again.rows == live.rows
+
+    @pytest.mark.parametrize("column, value", [
+        ("ifmap_unique_values", -1), ("psum_a", 0.5), ("active_pes", 0),
+        ("filter_c", "x"), ("params", "{not json"), ("macs", None)])
+    def test_a_corrupt_row_raises_store_format_error(self, tmp_path,
+                                                     column, value):
+        answers = live_answers()[:2]
+        path = tmp_path / "s.db"
+        with ExperimentStore(path) as store:
+            store.put_evaluations(answers)
+        conn = sqlite3.connect(path)
+        conn.execute(f"UPDATE evaluations SET {column}=?", (value,))
+        conn.commit()
+        conn.close()
+        with ExperimentStore(path) as store:
+            with pytest.raises(StoreFormatError, match="corrupt evaluation"):
+                store.get_evaluation(answers[0][0])
+            with pytest.raises(StoreFormatError, match="corrupt evaluation"):
+                store.get_evaluations(key for key, _ in answers)
+
+    def test_more_keys_than_one_statement_binds_all_answer(self, tmp_path):
+        from dataclasses import replace
+
+        key, live = live_answers()[0]
+        answers = []
+        for index in range(50):
+            layer = replace(key.layer, name=f"L{index}")
+            answers.append((replace(key, layer=layer),
+                            replace(live, layer=layer)))
+        absent = replace(key, layer=replace(key.layer, name="absent"))
+        with ExperimentStore(tmp_path / "s.db") as store:
+            store.put_evaluations(answers)
+            conn = store._reader()
+            # Seven keys' worth of host parameters per statement.
+            conn.setlimit(sqlite3.SQLITE_LIMIT_VARIABLE_NUMBER, 7 * 15 + 3)
+            found = store.get_evaluations(
+                [key for key, _ in answers] + [absent])
+        assert len(found) == len(answers) and absent not in found
+        assert all(repr(found[key]) == repr(value)
+                   for key, value in answers)
+
+    def test_batched_lookups_count_as_per_key_lookups(self, tmp_path):
+        """A ResNet-18 cell repeats layer shapes; a partly warm pass and
+        a rerun count the LRU hits, store hits and misses that one
+        ``get`` per distinct key counts."""
+        from repro.nn.networks import resnet18
+
+        layers = tuple(resnet18())
+        path = tmp_path / "exp.db"
+        with recording_session(path) as session:
+            session.evaluate(Scenario(workload=layers, dataflows=("RS",),
+                                      batches=(1,), pe_counts=(64,)))
+        scenario = Scenario(workload=layers, dataflows=("RS",),
+                            batches=(1,), pe_counts=(64, 128))
+        with ExperimentStore(path) as store:
+            engine = EvaluationEngine(EngineConfig(parallel=False),
+                                      StoreTierCache(store))
+            per_key = StoreTierCache(store)
+            for _ in range(2):
+                for cell in scenario.cells():
+                    # Per key first: the engine's call records its misses.
+                    for key in dict.fromkeys(cell_keys([cell])):
+                        if per_key.get(key) is MISSING:
+                            per_key.put(key, None)
+                    engine.evaluate_network(cell.job.dataflow, layers,
+                                            cell.job.hardware)
+            batched, expected = engine.cache.stats, per_key.stats
+        assert expected.store_hits and expected.misses and expected.hits
+        assert (batched.hits, batched.store_hits, batched.misses) == \
+            (expected.hits, expected.store_hits, expected.misses)
+
+
+class TestV4Migration:
+    def test_pickled_rows_stay_in_the_file_but_never_answer(self, tmp_path):
+        import pickle
+
+        from repro.store.db import hardware_fingerprint
+
+        path = tmp_path / "v4.db"
+        scenario = tiny_scenario()
+        key = next(iter(cell_keys(scenario.cells())))
+        with Session(parallel=False) as session:
+            (row,) = session.evaluate(scenario).rows
+        evaluation = row.evaluation.evaluations[0]
+        layer, hw = key.layer, key.hardware
+        blob = pickle.dumps(evaluation)
+        conn = sqlite3.connect(path)
+        ExperimentStore(tmp_path / "template.db").close()
+        template = sqlite3.connect(tmp_path / "template.db")
+        for (ddl,) in template.execute(
+                "SELECT sql FROM sqlite_master WHERE type='table' AND name"
+                " NOT IN ('hardware', 'evaluations', 'sqlite_sequence')"):
+            conn.execute(ddl)
+        template.close()
+        conn.executescript(V4_PICKLED_TABLES)
+        conn.executemany("INSERT INTO store_meta VALUES (?, ?)", [
+            ("format", "repro-experiment-store"), ("schema_version", "4"),
+            ("created_at", "2020-01-01T00:00:00Z")])
+        conn.execute("INSERT INTO dataflows VALUES (1, 'RS')")
+        conn.execute("INSERT INTO objectives VALUES (1, 'energy')")
+        conn.execute(
+            "INSERT INTO layers VALUES (1, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
+            (layer.name, layer.layer_type.value, layer.H, layer.R, layer.E,
+             layer.C, layer.M, layer.U, layer.N, layer.groups,
+             layer.dilation))
+        conn.execute(
+            "INSERT INTO hardware VALUES (1, ?, ?, ?, ?, ?, ?, ?)",
+            (hardware_fingerprint(hw), hw.num_pes, hw.array_h, hw.array_w,
+             hw.rf_bytes_per_pe, hw.buffer_bytes, pickle.dumps(hw)))
+        conn.execute(
+            "INSERT INTO evaluations VALUES (1, 1, 1, 1, 1, 1, ?, NULL)",
+            (blob,))
+        conn.commit()
+        conn.close()
+        with ExperimentStore(path) as store:
+            assert store.schema_version == SCHEMA_VERSION == 5
+            assert store.get_evaluation(key) is MISSING
+        with Session(parallel=False, store=path) as session:
+            assert session.evaluate(scenario).rows == (row,)
+            assert session.cache_stats.misses == 1
+        with Session(parallel=False, store=path) as session:
+            assert session.evaluate(scenario).rows == (row,)
+            stats = session.cache_stats
+            assert (stats.store_hits, stats.misses) == (1, 0)
+        conn = sqlite3.connect(path)
+        try:
+            assert conn.execute(
+                "SELECT evaluation FROM evaluations_v4").fetchall() == \
+                [(blob,)]
+            assert "config" not in {row[1] for row in conn.execute(
+                "PRAGMA table_info(hardware)")}
+        finally:
+            conn.close()

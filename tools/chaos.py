@@ -159,6 +159,7 @@ def check_store_diff(store_path: Path, reference_rows) -> None:
     finally:
         store.close()
     code = cli_main(["diff", "HEAD", "HEAD", "--store", str(store_path)])
+    assert code != 2, "repro diff exited 2: the diff itself failed"
     assert code == 0, f"repro diff exited {code}: faulted run drifted"
     print("repro diff HEAD HEAD: exit 0 (faulted vs fault-free clean)")
 
