@@ -435,6 +435,23 @@ class Dataflow(abc.ABC):
         only the buffer (and, where :attr:`reads_rf` is False, the RF)
         changes.  Implemented by every dataflow whose
         :meth:`dense_fold_plan` returns plans.
+
+        The block format is the whole contract of a third-party array
+        enumerator (:class:`~repro.kernels.CandidateArrays`), over F
+        folds and K scenarios:
+
+        * ``ifmap`` and ``filter``: the *distinct* splits, a tuple of
+          rows, each an ``(a, b, c, d)`` tuple of float64 ``(F,)``
+          columns -- one row when no scenario changes the split;
+        * ``scenarios``: K ``(ifmap row, filter row)`` index pairs, in
+          the order :meth:`enumerate_dense` yields a fold's scenarios;
+        * ``psum``: one ``(a, b, c, d)`` split of ``(F,)`` columns;
+        * ``demand``: a ``(K, F)`` int64 grid, which sets K;
+        * ``mask``: a bool array that broadcasts against ``demand``;
+        * ``pes`` and ``params``: ``(F,)`` int64 columns, ``params``
+          holding what :meth:`rebuild_dense` takes.
+
+        A stacked ``(K, F)`` grid per split factor is not a block.
         """
         raise NotImplementedError(
             f"{type(self).__name__} plans folds but does not implement "

@@ -92,14 +92,15 @@ class NoLocalReuse(Dataflow):
         if_b = np.where(low, 1.0, if_b)
 
         return CandidateArrays(
-            ifmap=(ones, if_b, if_c, ones),
-            filter=(ones, per.full(n * e * e), ones, ones),
+            ifmap=((ones, if_b, if_c, ones),),
+            filter=((ones, per.full(n * e * e), ones, ones),),
             psum=(ones, per("psum_accumulations") / cg,
                   cg.astype(np.float64), ones),
             pes=mg * cg,
-            mask=np.ones((1, count), dtype=bool),
+            mask=np.ones(count, dtype=bool),
             params={"m_g": mg, "c_g": cg},
             demand=demand.reshape(1, count),
+            scenarios=((0, 0),),
         )
 
     def rebuild_dense(self, layer: LayerShape, hw: HardwareConfig,

@@ -181,7 +181,8 @@ class _OutputStationaryBase(Dataflow):
         Mirrors :meth:`_config_candidates` over every planned config of
         the batch at once: its buffer-independent predicates form the
         mask and each scenario's budget the slot's ``demand``, so the
-        block never reads ``hw.buffer_words``.
+        block never reads ``hw.buffer_words``.  The three scenarios
+        read two distinct ifmap rows and two distinct filter rows.
         """
         per = PerProblem(problems)
         cfgs = [cfg for rows in per.plans for cfg in rows]
@@ -205,31 +206,28 @@ class _OutputStationaryBase(Dataflow):
         w_residual = per("filter_reuse") / w_c
         rest = if_residual / chunk_reuse
 
-        count = active.shape[0]
-        ones = np.ones(count, dtype=np.float64)
-        # Scenario columns in _config_candidates order:
-        # (mask, demand, if_a, if_b, w_a, w_b).
-        scenarios = (
-            (cfg_ok, window + m * c * r * r,
-             overlap, if_residual, ones, w_residual),
-            (cfg_ok & (rest >= _EPS), window + m_if * c * r * r,
-             overlap * chunk_reuse, rest, ones, w_residual),
-            (cfg_ok & (rounds >= 1.0 - _EPS), window + m_if * r * r,
-             overlap, if_residual, rounds, w_residual / rounds),
-        )
-
-        mask, demand, if_a, if_b, w_a, w_b = (np.array(cols)
-                                              for cols in zip(*scenarios))
+        ones = np.ones(active.shape[0], dtype=np.float64)
+        # One mask and demand row per scenario, in _config_candidates
+        # order; the ifmap split is either the resident one or the
+        # per-chunk re-read, the filter split either the resident one or
+        # the per-round re-read, each kept once.
+        mask = np.array((cfg_ok, cfg_ok & (rest >= _EPS),
+                         cfg_ok & (rounds >= 1.0 - _EPS)))
+        demand = np.array((window + m * c * r * r, window + m_if * c * r * r,
+                           window + m_if * r * r))
 
         accum = per.full(per("psum_accumulations"))
         return CandidateArrays(
-            ifmap=(if_a, if_b, if_c, ones),
-            filter=(w_a, w_b, w_c, ones),
+            ifmap=((overlap, if_residual, if_c, ones),
+                   (overlap * chunk_reuse, rest, if_c, ones)),
+            filter=((ones, w_residual, w_c, ones),
+                    (rounds, w_residual / rounds, w_c, ones)),
             psum=(ones, ones, ones, accum),
             pes=active,
             mask=mask,
-            params=pcols,
             demand=demand,
+            scenarios=((0, 0), (1, 0), (0, 1)),
+            params=pcols,
         )
 
     def rebuild_dense(self, layer: LayerShape, hw: HardwareConfig,

@@ -35,9 +35,9 @@ every candidate.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from functools import lru_cache
-from operator import attrgetter
-from typing import Dict, Iterator, NamedTuple, Optional, Tuple
+from typing import Dict, Iterator, NamedTuple, Optional
 
 import numpy as np
 
@@ -67,48 +67,55 @@ _SCENARIOS = ("both-resident", "ifmap-streams", "filter-streams",
 
 class _Choices(NamedTuple):
     """An RS fold plan: each ``(e, n_s, m_s, c_s)`` choice of the outer
-    loops, in order, with its RF-fold block from :func:`_rf_fold_arrays`,
+    loops, in order, with its RF-fold table from :func:`_rf_fold_arrays`,
     and the geometry's ``r_eff`` and ``v_fold``."""
 
-    e: list
-    n_s: list
-    m_s: list
-    c_s: list
-    blocks: list
+    outer: list
+    tables: list
     r_eff: int
     v_fold: int
 
 
 @lru_cache(maxsize=None)
 def _rf_fold_arrays(r: int, rf_words: int, v_fold: int, n_left: int,
-                    m_left: int, c_left: int
-                    ) -> Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """The RF-feasible ``(n_r, m_r, c_r)`` fold triples, as int64 columns.
+                    m_left: int, c_left: int) -> Optional[np.ndarray]:
+    """The RF-feasible ``(n_r, m_r, c_r)`` fold triples, as one table.
 
     The interleavings whose scratchpads fit the RF, from the thinned
-    cross product in n_r-major / c_r-minor order.  The per-PE
-    register-file working set (Section V-C, mirroring the chip's three
-    scratchpads) is ``v_fold`` filter rows of R words per interleaved
-    (m, c) primitive, the matching ifmap sliding windows, and
-    ``m_r*n_r`` running psum accumulators.  Memoized because the key
-    depends only on the per-PE geometry -- across a sweep the same
-    ``(n_left, m_left, c_left)`` residues recur for every layer x
-    hardware cell.  Returns None when no fold fits (the fold plan skips
-    the whole sub-tree).  Callers must treat the returned arrays as
-    read-only.
+    cross product in n_r-major / c_r-minor order, as the rows of one
+    ``(3, k)`` int64 array.  The per-PE register-file working set
+    (Section V-C, mirroring the chip's three scratchpads) is ``v_fold``
+    filter rows of R words per interleaved (m, c) primitive, the
+    matching ifmap sliding windows, and ``m_r*n_r`` running psum
+    accumulators: ``c_r * v_fold * r * (m_r + n_r) + m_r * n_r`` words,
+    which grows in each of ``n_r``, ``m_r`` and ``c_r``.  Their lists
+    ascend, so the walk takes each ``(n_r, m_r)`` pair's fitting prefix
+    of ``c_r`` and stops a loop at its first choice that fits nothing.
+    Memoized because the key depends only on the per-PE geometry --
+    across a sweep the same ``(n_left, m_left, c_left)`` residues recur
+    for every layer x hardware cell.  Returns None when no fold fits
+    (the fold plan skips the whole sub-tree); the table is read-only.
     """
-    nr_list = thin_candidates(divisors(n_left), limit=4)
     mr_list = thin_candidates(divisors(m_left), limit=6)
     cr_list = thin_candidates(divisors(c_left), limit=4)
-    a, b, c = len(nr_list), len(mr_list), len(cr_list)
-    nr = np.repeat(np.array(nr_list, dtype=np.int64), b * c)
-    mr = np.tile(np.repeat(np.array(mr_list, dtype=np.int64), c), a)
-    cr = np.tile(np.array(cr_list, dtype=np.int64), a * b)
-    words = v_fold * ((mr * cr * r) + (nr * cr * r)) + mr * nr
-    keep = words <= rf_words
-    if not keep.any():
+    nr_col, mr_col, cr_col = [], [], []
+    for n_r in thin_candidates(divisors(n_left), limit=4):
+        size = len(cr_col)
+        for m_r in mr_list:
+            room = (rf_words - m_r * n_r) // (v_fold * r * (m_r + n_r))
+            fits = bisect_right(cr_list, room)
+            if not fits:
+                break
+            nr_col += (n_r,) * fits
+            mr_col += (m_r,) * fits
+            cr_col += cr_list[:fits]
+        if len(cr_col) == size:
+            break
+    if not cr_col:
         return None
-    return nr[keep], mr[keep], cr[keep]
+    table = np.array((nr_col, mr_col, cr_col), dtype=np.int64)
+    table.flags.writeable = False
+    return table
 
 
 class RowStationary(Dataflow):
@@ -150,10 +157,8 @@ class RowStationary(Dataflow):
         through :meth:`_build_mappings`.
         """
         choices = self.dense_fold_plan(layer, hw).rows
-        for e, n_s, m_s, c_s, (nr, mr, cr) in zip(
-                choices.e, choices.n_s, choices.m_s, choices.c_s,
-                choices.blocks):
-            for n_r, m_r, c_r in zip(nr.tolist(), mr.tolist(), cr.tolist()):
+        for (e, n_s, m_s, c_s), table in zip(choices.outer, choices.tables):
+            for n_r, m_r, c_r in zip(*table.tolist()):
                 yield from self._build_mappings(
                     layer, hw, e, choices.r_eff, choices.v_fold,
                     n_s, m_s, c_s, n_r, m_r, c_r)
@@ -163,15 +168,15 @@ class RowStationary(Dataflow):
         """The ``e`` x spatial x RF-fold loops of the RS mapping space.
 
         The loops run in Python (their divisor lists are memoized) and
-        the RF-fold cross product of each ``(e, n_s, m_s, c_s)`` choice
-        comes from the cached :func:`_rf_fold_arrays` table; RF
-        overflow drops a fold here.  The four pass-order scenarios are
-        the rows of the fold x scenario grid (K = 4).
+        the RF folds of each ``(e, n_s, m_s, c_s)`` choice come from the
+        cached :func:`_rf_fold_arrays` table; RF overflow drops a fold
+        here.  The four pass-order scenarios are the rows of the fold x
+        scenario grid (K = 4).
         """
         array_h, array_w, r_eff, v_fold = self._geometry(layer, hw)
         rf_words = hw.rf_words_per_pe
         n, m, c = layer.N, layer.M, layer.C
-        e_vals, ns_vals, ms_vals, cs_vals, fold_blocks = [], [], [], [], []
+        outer, tables = [], []
         folds = 0
         for e in thin_candidates(divisors_up_to(layer.E, array_w)):
             sets_v = array_h // r_eff
@@ -180,18 +185,14 @@ class RowStationary(Dataflow):
             if max_sets < 1:
                 continue
             for n_s, m_s, c_s in self._spatial_assignments(n, m, c, max_sets):
-                block = _rf_fold_arrays(layer.R, rf_words, v_fold,
+                table = _rf_fold_arrays(layer.R, rf_words, v_fold,
                                         n // n_s, m // m_s, c // c_s)
-                if block is None:
+                if table is None:
                     continue
-                e_vals.append(e)
-                ns_vals.append(n_s)
-                ms_vals.append(m_s)
-                cs_vals.append(c_s)
-                fold_blocks.append(block)
-                folds += block[0].shape[0]
-        return FoldPlan(_Choices(e_vals, ns_vals, ms_vals, cs_vals,
-                                 fold_blocks, r_eff, v_fold),
+                outer.append((e, n_s, m_s, c_s))
+                tables.append(table)
+                folds += table.shape[1]
+        return FoldPlan(_Choices(outer, tables, r_eff, v_fold),
                         folds, len(_SCENARIOS))
 
     def dense_batch_arrays(self, problems) -> CandidateArrays:
@@ -200,24 +201,27 @@ class RowStationary(Dataflow):
         Every formula of :meth:`_build_mappings` -- reuse splits,
         active PEs, the four buffer-residency budgets -- evaluated once
         over every planned fold of the batch, with each problem's layer
-        and array constants as :class:`PerProblem` columns.  PE
-        overflow and vanished residual reuse clear a fold's mask, and
-        each scenario's budget becomes the slot's ``demand``: the block
-        never reads ``hw.buffer_words`` (its plan did read
-        ``hw.rf_words_per_pe``).  The four scenario budgets are summed
-        row by row into one preallocated ``demand`` grid rather than
-        stacked from per-scenario temporaries.
+        and array constants as :class:`PerProblem` columns.  The batch's
+        RF-fold tables are joined by one ``np.concatenate`` and its
+        ``(e, n_s, m_s, c_s)`` choices repeated by one ``np.repeat``.
+        PE overflow and vanished residual reuse clear a fold's mask, one
+        ``(F,)`` column all four scenarios share, and each scenario's
+        budget becomes its row of ``demand``: the block never reads
+        ``hw.buffer_words`` (its plan did read ``hw.rf_words_per_pe``).
+        The four scenario budgets are summed row by row into one
+        preallocated ``demand`` grid rather than stacked from
+        per-scenario temporaries.  The scenarios hold two distinct
+        ifmap rows (ifmap resident or streaming) and two distinct filter
+        rows (filters resident or streaming), each kept once.
         """
         per = PerProblem(problems)
         plans = per.plans
-        fold_blocks = [block for plan in plans for block in plan.blocks]
-        reps = np.array([block[0].shape[0] for block in fold_blocks],
-                        dtype=np.int64)
-        e_col, ns, ms, cs = (np.repeat(per.column(attrgetter(name)), reps)
-                             for name in ("e", "n_s", "m_s", "c_s"))
-        nr = np.concatenate([block[0] for block in fold_blocks])
-        mr = np.concatenate([block[1] for block in fold_blocks])
-        cr = np.concatenate([block[2] for block in fold_blocks])
+        tables = [table for plan in plans for table in plan.tables]
+        outer = np.array([choice for plan in plans for choice in plan.outer],
+                         dtype=np.int64)
+        reps = [table.shape[1] for table in tables]
+        e_col, ns, ms, cs = np.repeat(outer.T, reps, axis=1)
+        nr, mr, cr = np.concatenate(tables, axis=1)
         folds = nr.shape[0]
 
         n, m, c, r = per("N"), per("M"), per("C"), per("R")
@@ -254,32 +258,30 @@ class RowStationary(Dataflow):
                    & ~(if_rest < _EPS))
         ones = np.ones(folds, dtype=np.float64)
 
-        # The (4, F) grids, one row per scenario in _build_mappings
-        # order -- (if_a, if_b) and (filt_a, filt_b) per scenario; the
-        # (c, d) factors and the psum split are shared by all four.
-        # Each budget is summed straight into its row of one demand
-        # array, not built as a per-scenario temporary and stacked.
+        # One demand row per scenario in _build_mappings order, each
+        # budget summed straight into its row, not built as a
+        # per-scenario temporary and stacked.
         demand = np.empty((4, folds), dtype=np.int64)
         np.add(ifmap_tile, m * c * r * r, out=demand[0])
         np.add(ifmap_pass, filter_chunk, out=demand[1])
         np.add(ifmap_tile, filter_pass, out=demand[2])
         np.add(ifmap_pass, filter_pass, out=demand[3])
         demand += psum_tile
-        mask = np.array((fold_ok,) * 4)
-        if_a = np.array((ones, if_chunk, ones, if_chunk))
-        if_b = np.array((if_residual, if_rest, if_residual, if_rest))
-        w_a = np.array((ones, ones, filt_pass, filt_pass))
-        w_b = np.array((filt_pass, filt_pass, ones, ones))
 
         return CandidateArrays(
-            ifmap=(if_a, if_b, if_c, if_d),
-            filter=(w_a, w_b, filt_c, filt_d),
+            # Ifmap rows: resident strip tile, then re-read per chunk.
+            ifmap=((ones, if_residual, if_c, if_d),
+                   (if_chunk, if_rest, if_c, if_d)),
+            # Filter rows: resident across passes, then re-read per pass.
+            filter=((ones, filt_pass, filt_c, filt_d),
+                    (filt_pass, ones, filt_c, filt_d)),
             psum=(ones, ps_b, ps_c, ps_d),
             pes=active,
-            mask=mask,
+            mask=fold_ok,
+            demand=demand,
+            scenarios=((0, 0), (1, 0), (0, 1), (1, 1)),
             params={"e": e_col, "n_s": ns, "m_s": ms, "c_s": cs,
                     "n_r": nr, "m_r": mr, "c_r": cr},
-            demand=demand,
         )
 
     def rebuild_dense(self, layer: LayerShape, hw: HardwareConfig,

@@ -119,13 +119,14 @@ class WeightStationary(Dataflow):
         if_a = np.where(low, 1.0, if_a)
 
         return CandidateArrays(
-            ifmap=(if_a, ones, if_c, ones),
-            filter=(ones, ones, ones, per.full(n * e * e)),
+            ifmap=((if_a, ones, if_c, ones),),
+            filter=((ones, ones, ones, per.full(n * e * e)),),
             psum=(ones, c / cf, (r2 * cf).astype(np.float64), ones),
             pes=mf * cf * r2,
-            mask=np.ones((1, count), dtype=bool),
+            mask=np.ones(count, dtype=bool),
             params={"m_f": mf, "c_f": cf},
             demand=demand.reshape(1, count),
+            scenarios=((0, 0),),
         )
 
     def rebuild_dense(self, layer: LayerShape, hw: HardwareConfig,

@@ -13,11 +13,13 @@ batch alternative:
   Dataflow`) emits its full candidate space as a
   :class:`CandidateArrays` block -- *structure of arrays* over a
   fold x scenario grid: one column per fold for everything a
-  buffer-residency scenario does not change, one ``(K, F)`` grid for
-  the split factors it does, a mask of the slots that are feasible
-  whatever the buffer, and each slot's global-buffer ``demand`` -- in
-  exactly the order (and with exactly the feasibility filters) of its
-  scalar ``enumerate_mappings`` generator.  A block never reads
+  buffer-residency scenario does not change, the ifmap and filter
+  splits it does change once per *distinct row* (RS's four scenarios
+  read two ifmap and two filter rows) with a map from each scenario to
+  its pair of rows, a mask of the slots that are feasible whatever the
+  buffer, and each slot's global-buffer ``demand`` -- in exactly the
+  order (and with exactly the feasibility filters) of its scalar
+  ``enumerate_mappings`` generator.  A block never reads
   ``buffer_words``: the buffer only decides which slots
   :meth:`CandidateArrays.feasible` keeps, so one block (and its scores)
   serves every buffer size of its (layer, array) point.
@@ -27,7 +29,9 @@ batch alternative:
 * :func:`score_candidates` computes the objective of the *whole grid*
   -- every segment, each fold against its own layer's constants -- in
   a handful of NumPy ops, reusing the vectorized Eq. (3)/(4) math of
-  :mod:`repro.mapping.reuse`.
+  :mod:`repro.mapping.reuse`: Eq. (3) once per distinct ifmap and
+  filter row, Eq. (4) once per block, and then each scenario's sum
+  straight into its strided slice of the slot-ordered score column.
 * :meth:`CandidateArrays.candidates` lists the candidate slots of one
   buffer size in slot order, with each segment's range of that list,
   in one pass over the block.  A search then gathers only its own
@@ -110,6 +114,10 @@ class Segment(NamedTuple):
     stop: int
 
 
+#: One reuse split as ``(a, b, c, d)`` float64 columns, one value per fold.
+Split = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+
+
 @dataclass
 class CandidateArrays:
     """One or more layers' candidate spaces as a fold x scenario grid.
@@ -130,11 +138,17 @@ class CandidateArrays:
     buffer size, and a search reads only its own segment's range of
     them; a single-layer block is a batch of one.
 
-    The grid is stored scenario by scenario -- a ``(K, F)`` array has
-    one row per scenario -- so every per-fold ``(F,)`` column
-    broadcasts across the scenarios as it is.  Broadcasting repeats
-    the value, not the arithmetic: each slot's score comes from the
-    same expression tree as the scalar candidate's float.
+    A scenario changes only the ``a`` and ``b`` factors of the ifmap
+    and filter splits, and few scenarios change them differently: RS's
+    four scenarios read two distinct ifmap rows and two distinct filter
+    rows, the OS family's three read two of each.  So the block holds
+    each distinct row once, as ``(F,)`` columns, and :attr:`scenarios`
+    maps each scenario to its (ifmap row, filter row) pair;
+    :func:`score_candidates` runs Eq. (3) once per row, not once per
+    slot.  Only :attr:`demand` is a ``(K, F)`` grid, one row per
+    scenario, and K is its row count.  Sharing a row repeats the value,
+    not the arithmetic: each slot's score comes from the same
+    expression tree as the scalar candidate's float.
 
     The contract of a block: its enumerator never read
     ``hw.buffer_words``.  Every buffer-independent predicate is in
@@ -147,23 +161,28 @@ class CandidateArrays:
     Attributes
     ----------
     ifmap, filter:
-        ``(a, b, c, d)`` reuse-split columns, float64.  ``a`` and ``b``
-        depend on the scenario and are ``(K, F)`` grids (a plain
-        ``(F,)`` column when K = 1); ``c`` and ``d`` are per fold.
+        The distinct reuse splits, one ``(a, b, c, d)`` tuple of
+        float64 ``(F,)`` columns per row.  The rows of one data type
+        may share their ``c`` and ``d`` columns (objects, not copies).
     psum:
-        ``(a, b, c, d)`` accumulation split, per-fold columns.
-        Together with each segment layer's unique-value counts these
-        are everything Eqs. (3)/(4) need.
+        ``(a, b, c, d)`` accumulation split, per-fold columns (no
+        scenario changes it).  Together with each segment layer's
+        unique-value counts these are everything Eqs. (3)/(4) need.
     pes:
         Active PEs per fold (int64): the EDP delay denominator.
     mask:
-        ``(K, F)`` bool grid of the slots whose buffer-independent
-        predicates hold (PE count, RF fit, vanished reuse, ...).
+        The slots whose buffer-independent predicates hold (PE count,
+        RF fit, vanished reuse, ...): a bool array that broadcasts
+        against :attr:`demand` -- an ``(F,)`` column when every
+        scenario of a fold shares them, a ``(K, F)`` grid when not.
     demand:
         ``(K, F)`` int64 grid of the global-buffer words each slot's
         working sets claim (what the scalar ``BufferBudget`` sums).  A
         grouped layer's folds compare it with their partition's share,
         ``buffer_words // g_p``.
+    scenarios:
+        One ``(ifmap row, filter row)`` index pair per scenario, in
+        scenario order: ``((0, 0),)`` when K = 1.
     params:
         Per-fold tiling parameters (int64 columns keyed by name, e.g.
         ``e, n_s, ...``), enough for the owning dataflow's
@@ -183,12 +202,13 @@ class CandidateArrays:
         that layer's planning loops a second run.
     """
 
-    ifmap: Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
-    filter: Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
-    psum: Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+    ifmap: Tuple[Split, ...]
+    filter: Tuple[Split, ...]
+    psum: Split
     pes: np.ndarray
     mask: np.ndarray
     demand: np.ndarray
+    scenarios: Tuple[Tuple[int, int], ...]
     params: Dict[str, np.ndarray] = field(default_factory=dict)
     segments: Tuple[Segment, ...] = ()
     overflow: object = None
@@ -203,7 +223,9 @@ class CandidateArrays:
         """
         g_p = self.params.get("g_p")
         capacity = buffer_words if g_p is None else buffer_words // g_p
-        return self.mask & (self.demand <= capacity)
+        grid = self.demand <= capacity
+        grid &= self.mask
+        return grid
 
     def candidates(self, buffer_words: int) -> "Candidates":
         """The candidate slots at one buffer size, cut by segment.
@@ -218,7 +240,7 @@ class CandidateArrays:
         if len(segments) <= 1:
             bounds = (0, slots.shape[0])
         else:
-            scenarios = self.mask.shape[0]
+            scenarios = self.demand.shape[0]
             starts = [segment.start * scenarios for segment in segments]
             starts.append(segments[-1].stop * scenarios)
             bounds = np.searchsorted(slots, starts).tolist()
@@ -226,13 +248,13 @@ class CandidateArrays:
 
     def slot_pes(self, slots: np.ndarray) -> np.ndarray:
         """The active PEs of the given slots: :func:`select_best`'s key."""
-        scenarios = self.mask.shape[0]
+        scenarios = self.demand.shape[0]
         return self.pes.take(slots if scenarios == 1 else slots // scenarios)
 
     @property
     def active_pes(self) -> np.ndarray:
         """Active PEs per slot: :func:`select_best`'s tie-break key."""
-        return np.repeat(self.pes, self.mask.shape[0])
+        return np.repeat(self.pes, self.demand.shape[0])
 
     def row_params(self, slot: int) -> Dict[str, int]:
         """The tiling parameters and scenario index of one slot.
@@ -240,7 +262,7 @@ class CandidateArrays:
         A dense layer's fold drops the batch's ``g_p`` column, which its
         ``rebuild_mapping`` does not take (as in :meth:`segment`).
         """
-        fold, scenario = divmod(slot, self.mask.shape[0])
+        fold, scenario = divmod(slot, self.demand.shape[0])
         params = {name: int(col[fold]) for name, col in self.params.items()}
         if "g_p" in params and self._layer_of(fold).groups == 1:
             del params["g_p"]
@@ -256,7 +278,7 @@ class CandidateArrays:
 
     def slots(self, index: int) -> slice:
         """Segment ``index``'s range of :func:`score_candidates`' column."""
-        scenarios = self.mask.shape[0]
+        scenarios = self.demand.shape[0]
         segment = self.segments[index]
         return slice(segment.start * scenarios, segment.stop * scenarios)
 
@@ -281,11 +303,12 @@ class CandidateArrays:
             return tuple(cut(column) for column in split)
 
         return CandidateArrays(
-            ifmap=cut4(self.ifmap), filter=cut4(self.filter),
+            ifmap=tuple(cut4(row) for row in self.ifmap),
+            filter=tuple(cut4(row) for row in self.filter),
             psum=cut4(self.psum), pes=cut(self.pes), mask=cut(self.mask),
+            demand=cut(self.demand), scenarios=self.scenarios,
             params={name: cut(column) for name, column in self.params.items()
                     if name != "g_p" or layer.groups > 1},
-            demand=cut(self.demand),
             segments=(Segment(layer, 0, stop - start),))
 
 
@@ -327,11 +350,12 @@ class Candidates(NamedTuple):
 def empty_candidates() -> CandidateArrays:
     """A zero-fold block: the dataflow cannot run any layer of a batch."""
     z = np.zeros(0, dtype=np.float64)
-    return CandidateArrays(ifmap=(z, z, z, z), filter=(z, z, z, z),
+    return CandidateArrays(ifmap=((z, z, z, z),), filter=((z, z, z, z),),
                            psum=(z, z, z, z),
                            pes=np.zeros(0, dtype=np.int64),
-                           mask=np.zeros((1, 0), dtype=bool),
-                           demand=np.zeros((1, 0), dtype=np.int64))
+                           mask=np.zeros(0, dtype=bool),
+                           demand=np.zeros((1, 0), dtype=np.int64),
+                           scenarios=((0, 0),))
 
 
 def _layer_words(block: CandidateArrays):
@@ -361,52 +385,86 @@ def _layer_words(block: CandidateArrays):
                  ("ifmap_words", "filter_words", "ofmap_words", "macs"))
 
 
-def _total_energy(block: CandidateArrays, words,
-                  costs: EnergyCosts) -> np.ndarray:
-    """Whole-layer total energy grid (Eq. (3) + Eq. (4) + ALU).
+def _slot_scores(block: CandidateArrays, ifmap_rows, filter_rows, shared,
+                 last, macs, delay=None) -> np.ndarray:
+    """Each scenario's score, written into its slice of the slot column.
+
+    Scenario ``k`` reads ifmap row ``i`` and filter row ``j`` of
+    :attr:`CandidateArrays.scenarios`; its score is
+    ``((ifmap_rows[i] + filter_rows[j] + shared + last) / macs)``, times
+    ``delay`` when given -- the association order of the scalar
+    objective, term for term.  The sum is built in one reused ``(F,)``
+    column, and the last operation writes it into the strided slice
+    ``k::K`` of the slot-ordered result, so no ``(K, F)`` grid and no
+    transposed copy is ever made.
+    """
+    count = len(block.scenarios)
+    folds = block.pes.shape[0]
+    scores = np.empty(count * folds, dtype=np.float64)
+    total = np.empty(folds, dtype=np.float64)
+    for k, (i, j) in enumerate(block.scenarios):
+        np.add(ifmap_rows[i], filter_rows[j], out=total)
+        total += shared
+        total += last
+        if delay is None:
+            np.divide(total, macs, out=scores[k::count])
+        else:
+            total /= macs
+            np.multiply(total, delay, out=scores[k::count])
+    return scores
+
+
+def _energy(block: CandidateArrays, words, costs: EnergyCosts,
+            delay=None) -> np.ndarray:
+    """Slot-ordered energy/MAC (times ``delay`` when given).
 
     Mirrors ``Mapping.total_energy``: per-split Table IV weighted sums,
-    added ifmap + filter + psum, plus ``macs * alu`` -- in that order.
-    ``words`` is :func:`_layer_words`' tuple.
+    added ifmap + filter + psum, plus ``macs * alu`` -- in that order --
+    over ``macs``.  Eq. (3) runs once per distinct ifmap and filter row
+    and Eq. (4) once; ``words`` is :func:`_layer_words`' tuple.
     """
     ifmap_words, filter_words, ofmap_words, macs = words
-    e_if = level_energy_arrays(
-        *eq3_access_arrays(ifmap_words, *block.ifmap), costs)
-    e_w = level_energy_arrays(
-        *eq3_access_arrays(filter_words, *block.filter), costs)
+    e_if = [level_energy_arrays(*eq3_access_arrays(ifmap_words, *row), costs)
+            for row in block.ifmap]
+    e_w = [level_energy_arrays(*eq3_access_arrays(filter_words, *row), costs)
+           for row in block.filter]
     e_ps = level_energy_arrays(
         *eq4_access_arrays(ofmap_words, *block.psum), costs)
-    return e_if + e_w + e_ps + macs * costs.alu
+    return _slot_scores(block, e_if, e_w, e_ps, macs * costs.alu, macs,
+                        delay)
 
 
 def energy_per_mac(block: CandidateArrays, words,
                    costs: EnergyCosts) -> np.ndarray:
     """Vectorized ``Mapping.energy_per_mac`` (the paper's Energy/Op)."""
-    return _total_energy(block, words, costs) / words[3]
+    return _energy(block, words, costs)
 
 
 def edp(block: CandidateArrays, words, costs: EnergyCosts) -> np.ndarray:
     """Vectorized ``Mapping.edp``: energy/MAC times the 1/PE delay."""
-    delay = 1.0 / block.pes.astype(np.float64)
-    return energy_per_mac(block, words, costs) * delay
+    return _energy(block, words, costs, 1.0 / block.pes.astype(np.float64))
 
 
 def dram_accesses_per_op(block: CandidateArrays, words,
                          costs: EnergyCosts) -> np.ndarray:
-    """Vectorized ``Mapping.dram_accesses_per_op`` (Fig. 11 y-axis)."""
+    """Vectorized ``Mapping.dram_accesses_per_op`` (Fig. 11 y-axis).
+
+    ``(ifmap reads + filter reads + psum re-reads + ofmap writes) /
+    macs``, with the ifmap and filter reads once per distinct row.
+    """
     ifmap_words, filter_words, ofmap_words, macs = words
-    if_a, w_a, p_a = block.ifmap[0], block.filter[0], block.psum[0]
-    reads = (ifmap_words * if_a + filter_words * w_a
-             + ofmap_words * (p_a - 1))
-    writes = ofmap_words * p_a
-    return (reads + writes) / macs
+    p_a = block.psum[0]
+    return _slot_scores(block, [ifmap_words * row[0] for row in block.ifmap],
+                        [filter_words * row[0] for row in block.filter],
+                        ofmap_words * (p_a - 1), ofmap_words * p_a, macs)
 
 
-#: Objective name -> vectorized scorer ``(block, words, costs)``.  The
-#: dispatch in ``optimize_mapping`` only takes this path when the
-#: *registered* objective is still the matching built-in function, so
-#: re-registering e.g. ``energy`` with a custom callable transparently
-#: restores the scalar search for it.
+#: Objective name -> vectorized scorer ``(block, words, costs)``, which
+#: returns one score per slot in slot order.  The dispatch in
+#: ``optimize_mapping`` only takes this path when the *registered*
+#: objective is still the matching built-in function, so re-registering
+#: e.g. ``energy`` with a custom callable transparently restores the
+#: scalar search for it.
 SCORERS = {
     "energy": energy_per_mac,
     "edp": edp,
@@ -433,7 +491,7 @@ def score_candidates(block: CandidateArrays, costs: EnergyCosts,
         raise ValueError(
             f"no vectorized scorer for objective {objective!r}; "
             f"known: {known}") from None
-    return scorer(block, _layer_words(block), costs).T.reshape(-1)
+    return scorer(block, _layer_words(block), costs)
 
 
 def select_best(scores: np.ndarray, active_pes: np.ndarray,

@@ -29,7 +29,8 @@ random shapes:
   also when the rows go back and forth between buffer sizes.
 * :func:`check_rebuild_every_slot` -- every candidate slot of a block,
   not just a winner, rebuilds into exactly the mapping the scalar
-  generator yields at that position.
+  generator yields at that position, and scores exactly that mapping's
+  objective under each built-in objective.
 
 Shapes are kept deliberately small so hundreds of cells stay cheap; the
 generator is deterministic per seed, making every failure replayable
@@ -336,9 +337,13 @@ def check_rebuild_every_slot(dataflow, layer: LayerShape,
     Enumerates the layer's block, takes every candidate slot at
     ``hw.buffer_words`` in slot order, rebuilds each through
     ``rebuild_mapping`` and compares the sequence, field for field,
-    with the scalar ``enumerate_mappings`` sequence on ``hw``.  This
-    pins the rebuild of any slot, not only of the slots that win, to
-    the scan the scalar search makes.  Returns the number of slots.
+    with the scalar ``enumerate_mappings`` sequence on ``hw``.  Each
+    slot's kernel score under every built-in objective must also equal
+    its rebuilt mapping's scalar objective bit for bit, so a scenario
+    that reads the wrong ifmap or filter row fails here even where it
+    never wins.  This pins the rebuild and the score of any slot, not
+    only of the slots that win, to the scan the scalar search makes.
+    Returns the number of slots.
     """
     where = f"{context}{dataflow.name}/{layer.name}"
     block = dataflow.enumerate_candidate_arrays(layer, hw)
@@ -348,12 +353,19 @@ def check_rebuild_every_slot(dataflow, layer: LayerShape,
     assert len(slots) == len(scalar), (
         f"{where}: {len(slots)} candidate slots at {hw.buffer_words} "
         f"buffer words, the scalar generator yields {len(scalar)}")
+    scores = {objective: score_candidates(block, hw.costs, objective)
+              for objective in OBJECTIVES}
     for position, (slot, expected) in enumerate(zip(slots, scalar)):
         params = block.row_params(int(slot))
         rebuilt = dataflow.rebuild_mapping(layer, hw, params)
         assert rebuilt == expected, (
             f"{where}: slot {slot} ({params}) rebuilt into a mapping "
             f"other than the scalar generator's candidate {position}")
+        for objective, column in scores.items():
+            scored = _OBJECTIVE_FNS[objective](rebuilt, hw.costs)
+            assert bits(column[slot]) == bits(scored), (
+                f"{where}: slot {slot} ({params}) scores {column[slot]!r} "
+                f"under {objective}, its mapping {scored!r}")
     return len(slots)
 
 
@@ -444,9 +456,18 @@ def _same_columns(batch, single) -> bool:
 
     columns = [(batch.pes, single.pes), (batch.mask, single.mask),
                (batch.demand, single.demand)]
-    columns += list(zip(batch.ifmap + batch.filter + batch.psum,
-                        single.ifmap + single.filter + single.psum))
-    return (batch.params.keys() == single.params.keys()
+    splits = [(batch.psum, single.psum)]
+    for rows, alone in ((batch.ifmap, single.ifmap),
+                        (batch.filter, single.filter)):
+        if len(rows) != len(alone):
+            return False
+        splits += zip(rows, alone)
+    for split, alone in splits:
+        if len(split) != len(alone):
+            return False
+        columns += zip(split, alone)
+    return (batch.scenarios == single.scenarios
+            and batch.params.keys() == single.params.keys()
             and all(same(batch.params[k], single.params[k])
                     for k in batch.params)
             and all(same(a, b) for a, b in columns))
@@ -513,9 +534,9 @@ def check_batch(dataflow, layers, hw: HardwareConfig,
                 blocks.append(memo.block)
         for number, block in enumerate(blocks):
             at = f"{where}, block {number}"
-            assert len(block.segments) == 1 or block.mask.size <= limit, (
+            assert len(block.segments) == 1 or block.demand.size <= limit, (
                 f"{at}: {len(block.segments)} layers in "
-                f"{block.mask.size} slots, over the bound of {limit}")
+                f"{block.demand.size} slots, over the bound of {limit}")
             scores = score_candidates(block, hw.costs, objective)
             for index, segment in enumerate(block.segments):
                 single = dataflow.enumerate_candidate_arrays(segment.layer,

@@ -262,30 +262,44 @@ GOLDEN_LAYERS = (
     conv_layer("DW", H=16, R=3, E=14, C=32, M=32, N=2, groups=32),
     conv_layer("DIL", H=18, R=3, E=14, C=16, M=32, N=2, dilation=2))
 
-#: Each built-in's candidate count over GOLDEN_LAYERS and the first 16
-#: hex digits of the SHA-256 of every candidate's ``params``, in yield
-#: order.  A built-in's scalar generator walks the same fold plan its
-#: array enumerator evaluates, so the vector/scalar parity suites cannot
-#: see a changed tiling loop; this table does.  A deliberate change to a
-#: mapping space updates its row.
+#: Each built-in's candidate count over GOLDEN_LAYERS on 168 PEs and the
+#: first 16 hex digits of the SHA-256 of every candidate's ``params``, in
+#: yield order, keyed by (dataflow, RF bytes per PE): each built-in at
+#: its own RF, and RS also at two smaller RFs, where its RF-fold table
+#: drops most of the thinned cross product.  A built-in's scalar
+#: generator walks the same fold plan its array enumerator evaluates,
+#: so the vector/scalar parity suites cannot see a changed tiling loop
+#: or a fold table that drops or reorders a fold; this table does.  A
+#: deliberate change to a mapping space updates its row.
 GOLDEN_SPACES = {
-    "RS": (12293, "e5d16d966bc5faf7"),
-    "WS": (35, "d6d9d724cbe4db33"),
-    "OSA": (351, "99d9e403d9319936"),
-    "OSB": (338, "bbdacc94bc0bbaf3"),
-    "OSC": (124, "52121a517c8c9b0d"),
-    "NLR": (92, "0a0332f0dc4bd4c3"),
+    ("RS", 512): (12293, "e5d16d966bc5faf7"),
+    ("RS", 64): (3901, "ba7ef2a3cc16a691"),
+    ("RS", 16): (440, "96fbff0550ac1361"),
+    ("WS", 4): (35, "d6d9d724cbe4db33"),
+    ("OSA", 512): (351, "99d9e403d9319936"),
+    ("OSB", 256): (338, "bbdacc94bc0bbaf3"),
+    ("OSC", 32): (124, "52121a517c8c9b0d"),
+    ("NLR", 0): (92, "0a0332f0dc4bd4c3"),
 }
 
 
-@pytest.mark.parametrize("name", list(GOLDEN_SPACES))
-def test_candidate_space_is_pinned(name):
+def _space_id(point) -> str:
+    """``RS`` at a dataflow's own RF, ``RS-64B`` at another."""
+    name, rf_bytes = point
+    if rf_bytes == DATAFLOWS[name].rf_bytes_per_pe:
+        return name
+    return f"{name}-{rf_bytes}B"
+
+
+@pytest.mark.parametrize("point", list(GOLDEN_SPACES), ids=_space_id)
+def test_candidate_space_is_pinned(point):
+    name, rf_bytes = point
     dataflow = DATAFLOWS[name]
-    hw = hw_for(name, 168)
+    hw = HardwareConfig.equal_area(168, rf_bytes)
     digest = hashlib.sha256()
     count = 0
     for layer in GOLDEN_LAYERS:
         params = [m.params for m in dataflow.enumerate_mappings(layer, hw)]
         count += len(params)
         digest.update(repr(params).encode())
-    assert (count, digest.hexdigest()[:16]) == GOLDEN_SPACES[name]
+    assert (count, digest.hexdigest()[:16]) == GOLDEN_SPACES[point]

@@ -808,7 +808,7 @@ class TestBatchedSearches:
         assert 1 < len(enumerations) == len(blocks) < 12
         assert sum(len(block.segments) for block in blocks) == 12
         for block in blocks:
-            assert len(block.segments) == 1 or block.mask.size <= \
+            assert len(block.segments) == 1 or block.demand.size <= \
                 _BATCH_SLOTS
         monkeypatch.setenv("REPRO_KERNEL", "scalar")
         assert answer(vgg16_cell("RS")) == rows

@@ -12,10 +12,12 @@ the scalar path; ``REPRO_KERNEL`` overrides are honored).
 
 import random
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from repro.api import Scenario, Session
 from repro.arch.energy_costs import EnergyCosts
 from repro.arch.hardware import HardwareConfig
 from repro.dataflows.registry import DATAFLOWS
@@ -206,3 +208,34 @@ class TestSelectBest:
     def test_empty_batch_returns_none(self):
         assert select_best(np.zeros(0), np.zeros(0, dtype=np.int64),
                            0.01) is None
+
+
+class TestSearchMemory:
+    """The kernel keeps each distinct split row once: the scenario
+    grids of a large block are never stacked or transposed."""
+
+    def test_largest_rs_cell_peaks_under_6_5_mb(self):
+        """MobileNet RS at N = 16 on 768 PEs with a 256 B RF, whose PW1
+        block holds 63,672 slots.  Scored from split rows stacked into
+        ``(4, F)`` grids, a serial evaluation peaked at 8.6 MB by
+        ``tracemalloc``; from one row per distinct split, at 5.2 MB."""
+        scenario = Scenario(workload="mobilenet", dataflows=("RS",),
+                            batches=(16,), pe_counts=(768,),
+                            rf_choices=(256,))
+        # A first session fills the process-wide tiling memos, so the
+        # measured one counts only its own searches.
+        with Session(parallel=False) as session:
+            session.evaluate(scenario)
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        try:
+            with Session(parallel=False) as session:
+                session.evaluate(scenario)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak < 6.5e6, f"peak {peak / 1e6:.2f} MB"

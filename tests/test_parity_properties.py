@@ -122,7 +122,7 @@ class TestBatchedSearches:
         gen = ShapeGenerator(f"split:{seed}:{name}")
         dataflow, layers, hw = DATAFLOWS[name], self.layers(gen), \
             gen.hardware()
-        slots = sum(dataflow.enumerate_candidate_arrays(layer, hw).mask.size
+        slots = sum(dataflow.enumerate_candidate_arrays(layer, hw).demand.size
                     for layer in layers)
         blocks = check_batch(dataflow, layers, hw, objective=gen.objective(),
                              bound=max(1, slots // 2),
